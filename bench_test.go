@@ -69,7 +69,6 @@ func BenchmarkInletBandwidth(b *testing.B)    { benchTable(b, experiments.InletB
 func BenchmarkPreprocessingCost(b *testing.B) { benchTable(b, experiments.PreprocessingCost) }
 
 // Ablations called out in DESIGN.md §5.
-func BenchmarkAblationSolvers(b *testing.B)  { benchTable(b, experiments.AblationSolvers) }
 func BenchmarkAblationSymmetry(b *testing.B) { benchTable(b, experiments.AblationSymmetry) }
 func BenchmarkAblationPooling(b *testing.B)  { benchTable(b, experiments.AblationPooling) }
 
@@ -87,27 +86,23 @@ func randomFlowNetwork(n, m int, seed int64) (*maxflow.Graph, int, int) {
 	return g, 0, n - 1
 }
 
-func benchSolver(b *testing.B, s maxflow.Solver) {
+func BenchmarkMaxFlowDinic(b *testing.B) {
 	g, src, sink := randomFlowNetwork(200, 2000, 42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.MaxFlow(src, sink, s)
+		g.MaxFlow(src, sink)
 	}
 }
-
-func BenchmarkMaxFlowDinic(b *testing.B)       { benchSolver(b, maxflow.Dinic) }
-func BenchmarkMaxFlowEdmondsKarp(b *testing.B) { benchSolver(b, maxflow.EdmondsKarp) }
-func BenchmarkMaxFlowPushRelabel(b *testing.B) { benchSolver(b, maxflow.PushRelabel) }
 
 func benchSearch(b *testing.B, opt placement.Options) {
 	b.Helper()
 	m := MachineB()
-	cands, err := placement.Enumerate(m)
+	first, err := placement.FirstCandidate(m)
 	if err != nil {
 		b.Fatal(err)
 	}
 	dem, _, err := trainsim.PlanDemand(trainsim.Config{
-		Machine: m, Placement: cands[0],
+		Machine: m, Placement: first,
 		Workload: Workload{Dataset: MustDataset("IG"), Model: GraphSAGE},
 	})
 	if err != nil {
@@ -123,23 +118,7 @@ func benchSearch(b *testing.B, opt placement.Options) {
 
 func BenchmarkPlacementSearchMachineB(b *testing.B) { benchSearch(b, placement.Options{}) }
 
-// Serial vs streaming pins the pipeline speedup claimed in EXPERIMENTS.md;
-// the cached variant measures a fully warm score cache.
-func BenchmarkPlacementSearchSerial(b *testing.B) {
-	benchSearch(b, placement.Options{Serial: true})
-}
-
-func BenchmarkPlacementSearchStreaming(b *testing.B) {
-	benchSearch(b, placement.Options{})
-}
-
-// Inline disables the shared probe pool: the scoring workers build and
-// bisect in place, the pre-pool reference the pooled path is diffed
-// against.
-func BenchmarkPlacementSearchInline(b *testing.B) {
-	benchSearch(b, placement.Options{NoProbePool: true})
-}
-
+// Cached measures a fully warm score cache.
 func BenchmarkPlacementSearchCached(b *testing.B) {
 	cache := scorecache.NewScores(1 << 16)
 	benchSearch(b, placement.Options{Cache: cache})

@@ -25,6 +25,7 @@ import (
 
 	"moment"
 	"moment/cmd/internal/obsflag"
+	"moment/internal/experiments"
 )
 
 func main() {
@@ -88,7 +89,7 @@ func main() {
 			recs = append(recs, serveRec.BenchRecord())
 		}
 		if *sweepNodes > 0 {
-			rec, err := moment.FleetSweepRecord(*sweepNodes)
+			rec, err := experiments.FleetSweepRecord(*sweepNodes)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "momentbench: fleet sweep:", err)
 				os.Exit(1)
@@ -96,7 +97,7 @@ func main() {
 			recs = append(recs, rec)
 		}
 		if *simEpochs > 0 {
-			rec, err := moment.LongSimRecord(*simEpochs)
+			rec, err := experiments.LongSimRecord(*simEpochs)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "momentbench: longsim:", err)
 				os.Exit(1)
@@ -107,7 +108,7 @@ func main() {
 			// The record constructor re-checks the acceptance differential
 			// (adaptive within 5% of the oracle on under half its migrated
 			// bytes), so a drifted loop fails here, not just at -compare.
-			rec, err := moment.DriftBenchRecord(*driftEpochs)
+			rec, err := experiments.DriftRecord(*driftEpochs)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "momentbench: drift:", err)
 				os.Exit(1)
@@ -119,7 +120,7 @@ func main() {
 			// differential (flow beats DistDGL, flow agrees with analytical
 			// on a non-blocking core), so a drifted planner fails here, not
 			// just at -compare.
-			rec, err := moment.ClusterBenchRecord(*clusterNodes)
+			rec, err := experiments.ClusterBenchRecord(*clusterNodes)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "momentbench: cluster:", err)
 				os.Exit(1)
@@ -129,7 +130,7 @@ func main() {
 		// Observability hot-path row: refuse to even write a record set if
 		// the disabled flight-recorder or explain path allocates — that
 		// would tax every planner run that never asked for forensics.
-		obsRec := moment.ObsBenchRecord()
+		obsRec := experiments.ObsRecord()
 		if d, e := *obsRec.ObsDisabledEventAllocs, *obsRec.ObsDisabledExplainAllocs; d != 0 || e != 0 {
 			fmt.Fprintf(os.Stderr,
 				"momentbench: disabled obs hot path allocates (event %d, explain %d allocs/op; want 0)\n", d, e)

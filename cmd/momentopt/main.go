@@ -18,8 +18,8 @@
 // -explain prints the plan's provenance trail — every candidate the search
 // enumerated, pruned (and why), the bisector's effort per candidate, and
 // the final score and layout breakdown. The trail is byte-deterministic
-// for a fixed machine/workload (it forces a serial, uncached search), so
-// two runs of the same problem diff clean.
+// for a fixed machine/workload (steps are keyed by enumeration index and
+// the search runs uncached), so two runs of the same problem diff clean.
 package main
 
 import (
@@ -41,7 +41,7 @@ func main() {
 		gpus        = flag.Int("gpus", 0, "restrict GPU count (0 = machine default)")
 		scores      = flag.Bool("scores", false, "print every candidate's predicted time")
 		explain     = flag.Bool("explain", false,
-			"print the plan provenance trail (deterministic; forces a serial search)")
+			"print the plan provenance trail (byte-deterministic)")
 		verifyPlan = flag.Bool("verify", false, "self-check every solve: certify max-flows and audit placements")
 		repl       = flag.Float64("replication", 0,
 			"replication factor r in [0,1] for the multi-node plan of a cluster -spec")
@@ -75,7 +75,6 @@ func main() {
 	if *explain {
 		ex = moment.NewExplain()
 		opts.Explain = ex
-		opts.Serial = true // parallel search interleaves; the trail must not
 	}
 	plan, err := moment.OptimizeWith(m, moment.Workload{Dataset: ds, Model: kind}, opts)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"moment/internal/adaptive"
 	"moment/internal/cluster"
 	"moment/internal/ddak"
-	"moment/internal/experiments"
 	"moment/internal/flownet"
 	"moment/internal/graph"
 	"moment/internal/partition"
@@ -93,15 +92,6 @@ type ReplicationPlan = ddak.ReplicationPlan
 // the given cross-node read fraction for the partitioned tail.
 func PlanReplication(items []PlacedItem, r float64, nodes int, crossFrac float64) (ReplicationPlan, error) {
 	return ddak.PlanReplication(items, r, nodes, crossFrac)
-}
-
-// ClusterBenchRecord benchmarks the multi-node reference (flow-planned
-// cluster vs the analytical composition vs DistDGL on 4× Machine B, PA) as
-// the "cluster" bench row. It errors if the acceptance differential fails:
-// the flow planner must beat DistDGL and agree with the analytical model
-// on the non-blocking core.
-func ClusterBenchRecord(nodes int) (BenchRecord, error) {
-	return experiments.ClusterBenchRecord(nodes)
 }
 
 // SimulateCluster runs one epoch of a data-parallel job across a cluster

@@ -114,14 +114,11 @@ func CoOptimize(in Input) (*Plan, error) {
 	simCfg.Workload = in.Workload
 	// Demand construction needs *some* valid placement; use the first
 	// enumerated candidate.
-	cands, err := placement.Enumerate(in.Machine)
+	first, err := placement.FirstCandidate(in.Machine)
 	if err != nil {
 		return nil, err
 	}
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("core: machine %s has no feasible placements", in.Machine.Name)
-	}
-	simCfg.Placement = cands[0]
+	simCfg.Placement = first
 	demSp := sp.Child("demand")
 	dem, _, err := trainsim.PlanDemand(simCfg)
 	demSp.End()

@@ -47,9 +47,9 @@ type BenchRecord struct {
 	// sweep row (layout "sweep"). As with the serve row, EpochSec stays a
 	// deterministic simulated quantity (the fleet-mean best epoch time) so
 	// the compare gate can hold it steady; the wall-clock pair records the
-	// measured baseline (per-node cold serial search) against the optimized
-	// harness (pooled streaming search over a shared score cache) and is
-	// informational, never regression-gated.
+	// measured baseline (per-node cold search, no cache) against the
+	// optimized harness (the same searches over a shared score cache) and
+	// is informational, never regression-gated.
 	SweepNodes       int     `json:"sweep_nodes,omitempty"`
 	SweepCacheHits   int     `json:"sweep_cache_hits,omitempty"`
 	SweepBaselineMS  float64 `json:"sweep_baseline_ms,omitempty"`

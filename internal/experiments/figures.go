@@ -517,11 +517,11 @@ func AblationSymmetry() (*Table, error) {
 	for _, mk := range []func() *topology.Machine{topology.MachineA, topology.MachineB} {
 		m := mk()
 		cfg := trainsim.Config{Machine: m, Workload: wl("IG", gnn.KindSAGE)}
-		cands, err := placement.Enumerate(m)
+		first, err := placement.FirstCandidate(m)
 		if err != nil {
 			return nil, err
 		}
-		cfg.Placement = cands[0]
+		cfg.Placement = first
 		dem, _, err := trainsim.PlanDemand(cfg)
 		if err != nil {
 			return nil, err

@@ -24,9 +24,8 @@ import (
 // fields.
 
 // FleetSweepRecord plans a fleet of nodes twice — every node searched cold
-// and serially (the baseline), then the whole fleet through one shared
-// score cache with the pooled streaming pipeline — and records both
-// wall-clocks. The fleet alternates machines A and B, so from the third
+// with no cache (the baseline), then the whole fleet through one shared
+// score cache — and records both wall-clocks. The fleet alternates machines A and B, so from the third
 // node on every search is a repeat configuration and the shared cache
 // serves it wholesale; the two passes must agree on every node's best
 // placement time, which is also the check that the harness speedup does
@@ -54,11 +53,11 @@ func FleetSweepRecord(nodes int) (BenchRecord, error) {
 		demands[m.Name] = dem
 	}
 
-	// Baseline: per-node cold serial search, no memoization anywhere.
+	// Baseline: per-node cold search, no memoization anywhere.
 	baseTimes := make([]float64, nodes)
 	t0 := time.Now()
 	for i, m := range fleet {
-		res, err := placement.Search(m, demands[m.Name], placement.Options{Serial: true})
+		res, err := placement.Search(m, demands[m.Name], placement.Options{})
 		if err != nil {
 			return BenchRecord{}, fmt.Errorf("experiments: fleet baseline node %d: %w", i, err)
 		}
@@ -66,8 +65,7 @@ func FleetSweepRecord(nodes int) (BenchRecord, error) {
 	}
 	baselineMS := float64(time.Since(t0)) / float64(time.Millisecond)
 
-	// Optimized: the same fleet through one shared score cache and the
-	// pooled streaming pipeline.
+	// Optimized: the same fleet through one shared score cache.
 	cache := scorecache.NewScores(1 << 16)
 	hits := 0
 	mean := 0.0
@@ -81,7 +79,7 @@ func FleetSweepRecord(nodes int) (BenchRecord, error) {
 		mean += res.Time.Sec()
 		if math.Abs(res.Time.Sec()-baseTimes[i]) > 1e-12 {
 			return BenchRecord{}, fmt.Errorf(
-				"experiments: fleet node %d: cached search %v != cold serial %v",
+				"experiments: fleet node %d: cached search %v != cold search %v",
 				i, res.Time.Sec(), baseTimes[i])
 		}
 	}
@@ -106,11 +104,11 @@ func FleetSweepRecord(nodes int) (BenchRecord, error) {
 // does, from an arbitrary feasible placement (the demand does not depend on
 // which one).
 func fleetDemand(m *topology.Machine, w trainsim.Workload) (*flownet.Demand, error) {
-	cands, err := placement.Enumerate(m)
-	if err != nil || len(cands) == 0 {
-		return nil, fmt.Errorf("experiments: no candidates on %s: %v", m.Name, err)
+	first, err := placement.FirstCandidate(m)
+	if err != nil {
+		return nil, err
 	}
-	dem, _, err := trainsim.PlanDemand(trainsim.Config{Machine: m, Placement: cands[0], Workload: w})
+	dem, _, err := trainsim.PlanDemand(trainsim.Config{Machine: m, Placement: first, Workload: w})
 	if err != nil {
 		return nil, err
 	}

@@ -481,7 +481,6 @@ func (n *Network) SolveTol(tol float64) (units.Duration, error) {
 		after := n.G.Stats()
 		o.Counter("maxflow_solves_total").Add(float64(after.Solves - before.Solves))
 		o.Counter("maxflow_augmenting_paths_total").Add(float64(after.AugmentingPaths - before.AugmentingPaths))
-		o.Counter("maxflow_relabels_total").Add(float64(after.Relabels - before.Relabels))
 		// Warm counters are cumulative on the bisector, so report deltas.
 		o.Counter("maxflow_warm_starts_total").Add(float64(n.bis.WarmStarts - warmS))
 		o.Counter("maxflow_warm_aborts_total").Add(float64(n.bis.WarmAborts - warmA))
@@ -505,56 +504,12 @@ func (n *Network) SolveTol(tol float64) (units.Duration, error) {
 	return units.Seconds(t), nil
 }
 
-// SolveCounters reports the bisection work of the most recent inline solve:
+// SolveCounters reports the bisection work of the most recent solve:
 // Probes and Iterations cover that solve alone (the bisector resets them per
 // MinTime), while WarmStarts and WarmAborts accumulate across the network's
-// lifetime. Pooled solves report the same counters on their ProbeResult
-// instead — the network stays unsolved on that path.
+// lifetime.
 func (n *Network) SolveCounters() (probes, iterations, warmStarts, warmAborts int) {
 	return n.bis.Probes, n.bis.Iterations, n.bis.WarmStarts, n.bis.WarmAborts
-}
-
-// Probe packages this network's bisection as a maxflow.ProbePool job.
-// The pool clones the graph and schedule onto a worker arena inside
-// Submit, so the network — including an arena scratch recycled through
-// BuildReuse — is free for the next candidate the moment Submit returns.
-// The solved flow stays on the pool arena: the network itself remains
-// unsolved, so flow-reading accessors (Traffic, QPIBytes, ...) are not
-// served by this path; meter the eventual result with MeterProbe.
-func (n *Network) Probe(seq int, tag any, tol float64) maxflow.Probe {
-	if tol <= 0 {
-		tol = 1e-4
-	}
-	return maxflow.Probe{Seq: seq, Tag: tag, Bis: n.bis, Tol: tol}
-}
-
-// MeterProbe accounts a pooled solve to o under the same metric names an
-// inline SolveTol reports, and returns the outcome shaped exactly like
-// SolveTol's: the solved horizon on success, the flownet-wrapped error
-// otherwise. It is a package function, not a method: by the time a pool
-// result arrives, the prototype network has typically been rebuilt for a
-// different candidate, so the caller supplies the machine/placement names
-// captured at submission.
-func MeterProbe(o *obs.Observer, machine, placement string, r maxflow.ProbeResult) (units.Duration, error) {
-	if o != nil {
-		o.Counter("maxflow_solves_total").Add(float64(r.Stats.Solves))
-		o.Counter("maxflow_augmenting_paths_total").Add(float64(r.Stats.AugmentingPaths))
-		o.Counter("maxflow_relabels_total").Add(float64(r.Stats.Relabels))
-		// ProbeResult counters cover the probe alone (the pool rebinds a
-		// fresh bisector per job), so they are already deltas.
-		o.Counter("maxflow_warm_starts_total").Add(float64(r.WarmStarts))
-		o.Counter("maxflow_warm_aborts_total").Add(float64(r.WarmAborts))
-		o.Histogram("maxflow_bisection_iterations").Observe(float64(r.Iterations))
-		o.Histogram("maxflow_bisection_probes").Observe(float64(r.Probes))
-		o.Histogram("flownet_solve_seconds").Observe(r.WallSeconds)
-	}
-	if r.Err != nil {
-		if o != nil && !errors.Is(r.Err, context.Canceled) && !errors.Is(r.Err, context.DeadlineExceeded) {
-			o.Counter("flownet_infeasible_total").Inc()
-		}
-		return 0, fmt.Errorf("flownet: %s/%s: %w", machine, placement, r.Err)
-	}
-	return units.Seconds(r.Time), nil
 }
 
 // Demand returns the demand the network was built for.

@@ -27,7 +27,6 @@ type TimeBisector struct {
 	G      *Graph
 	S, T   int
 	Demand float64 // total bytes that must arrive at the sink
-	Solver Solver
 
 	// DisableWarmStart forces every probe to rebuild all capacities and
 	// solve from an empty flow — the pre-warm-start behavior, kept as the
@@ -71,7 +70,7 @@ type TimeBisector struct {
 	// schedule applied at that probe, and the graph has not been mutated
 	// since (warmGen matches the graph's generation counter). Any mutation
 	// that bypasses the bisector — a direct SetCapacity, an external solve,
-	// an arena clone — advances the generation and auto-invalidates the
+	// an arena rebuild — advances the generation and auto-invalidates the
 	// warm state on the next probe: the monotonicity check alone only
 	// inspects registered edges, so without the generation guard a shrink
 	// elsewhere in the graph could silently warm-start from a flow that is
@@ -156,30 +155,6 @@ func (b *TimeBisector) Reinit(g *Graph, s, t int, demand float64) {
 	b.Probes, b.Iterations = 0, 0
 	b.WarmStarts, b.WarmAborts = 0, 0
 	b.warmOK = false
-}
-
-// CloneOnto copies the bisector — registered schedule, demand, solver,
-// options, and warm-start state — onto dst, rebinding it to graph g, and
-// returns dst. g must hold a copy of the receiver's graph state (typically
-// via Graph.CloneInto onto a worker arena): the warm bookkeeping travels
-// with the cloned flow and is rebased onto g's generation, so a warm
-// receiver yields a warm clone. Work counters reset — the clone reports
-// only its own solves. Slice capacity in dst is reused, so cloning onto a
-// recycled arena pair allocates nothing.
-func (b *TimeBisector) CloneOnto(dst *TimeBisector, g *Graph) *TimeBisector {
-	dst.G, dst.S, dst.T, dst.Demand = g, b.S, b.T, b.Demand
-	dst.Solver = b.Solver
-	dst.DisableWarmStart = b.DisableWarmStart
-	dst.Ctx = b.Ctx
-	dst.rateEdges = append(dst.rateEdges[:0], b.rateEdges...)
-	dst.rates = append(dst.rates[:0], b.rates...)
-	dst.fixedEdges = append(dst.fixedEdges[:0], b.fixedEdges...)
-	dst.fixed = append(dst.fixed[:0], b.fixed...)
-	dst.Probes, dst.Iterations = 0, 0
-	dst.WarmStarts, dst.WarmAborts = 0, 0
-	dst.warmT, dst.warmFlow, dst.warmOK = b.warmT, b.warmFlow, b.warmOK
-	dst.warmGen = g.gen
-	return dst
 }
 
 // InvalidateWarm discards the warm-start state, forcing the next probe to
@@ -282,7 +257,7 @@ func (b *TimeBisector) Feasible(t float64) bool {
 	case !b.DisableWarmStart && b.warmOK && t >= b.warmT && b.monotone(t):
 		b.WarmStarts++
 		b.patch(t)
-		flow = b.warmFlow + b.G.Augment(b.S, b.T, b.Solver)
+		flow = b.warmFlow + b.G.Augment(b.S, b.T)
 	default:
 		if !b.DisableWarmStart && b.warmOK && t >= b.warmT {
 			// Warm continuation was structurally available (growing
@@ -291,7 +266,7 @@ func (b *TimeBisector) Feasible(t float64) bool {
 			b.WarmAborts++
 		}
 		b.apply(t)
-		flow = b.G.MaxFlow(b.S, b.T, b.Solver)
+		flow = b.G.MaxFlow(b.S, b.T)
 	}
 	b.warmT, b.warmFlow, b.warmOK = t, flow, true
 	b.warmGen = b.G.gen

@@ -1,10 +1,12 @@
-// Package maxflow implements maximum-flow solvers on capacity-constrained
-// directed graphs, the optimization core of Moment's communication planner
-// (paper §3.2). Three solvers are provided — Edmonds–Karp, Dinic, and FIFO
-// push–relabel — along with minimum-cut extraction, flow decomposition into
-// source→sink paths (used to turn a flow into per-link traffic assignments),
-// and the time-bisection feasibility procedure the paper uses to score
-// hardware placement candidates.
+// Package maxflow implements maximum flow on capacity-constrained directed
+// graphs, the optimization core of Moment's communication planner (paper
+// §3.2): one solver (Dinic's blocking flows, with warm continuation from an
+// existing flow), minimum-cut extraction, flow decomposition into
+// source→sink paths (used to turn a flow into per-link traffic
+// assignments), and the time-bisection feasibility procedure the paper uses
+// to score hardware placement candidates. The package's tests keep
+// Edmonds–Karp, the paper's Ford–Fulkerson, as the oracle Dinic is checked
+// against.
 //
 // Capacities are float64 (bytes or bytes/second); comparisons use a small
 // epsilon so profiled bandwidths compose without spurious infeasibility.
@@ -39,24 +41,19 @@ type Graph struct {
 	stats SolveStats
 	// gen is bumped by every operation that changes capacities, flow, or
 	// structure. Consumers that cache conclusions about the graph's state
-	// (the TimeBisector's warm flow, cloned-arena bookkeeping) record the
-	// generation they observed and treat a mismatch as "the graph moved
-	// underneath me". Clone copies it; CloneInto advances the destination's
-	// own counter so state keyed to the old contents can never match.
+	// (the TimeBisector's warm flow) record the generation they observed
+	// and treat a mismatch as "the graph moved underneath me". Clone
+	// copies it.
 	gen uint64
 }
 
-// SolveStats counts the work done by this graph's solvers, cumulative over
+// SolveStats counts the work done by this graph's solver, cumulative over
 // every MaxFlow call (graphs are per-goroutine, so plain ints suffice; the
 // increments cost nothing measurable even with observability disabled).
 type SolveStats struct {
-	// AugmentingPaths counts successful augmentations: shortest paths
-	// (Edmonds–Karp), blocking-flow augmentations (Dinic), and the
-	// repair-phase augmentations after push–relabel.
+	// AugmentingPaths counts blocking-flow augmentations.
 	AugmentingPaths int64
-	// Relabels counts push–relabel height increases.
-	Relabels int64
-	// Solves counts MaxFlow invocations.
+	// Solves counts MaxFlow and Augment invocations.
 	Solves int64
 }
 
@@ -223,10 +220,9 @@ func (g *Graph) Reset() {
 }
 
 // Clear empties the graph — zero nodes, zero edges — while retaining every
-// backing array, the arena half of the Clear+CloneInto reuse API: a
-// subsequent rebuild of a similarly sized network through AddNode/AddEdge
-// allocates nothing. Solver work counters survive (they are cumulative per
-// arena, and callers meter them by before/after deltas).
+// backing array: a subsequent rebuild of a similarly sized network through
+// AddNode/AddEdge allocates nothing. The work counters survive (they are
+// cumulative per arena, and callers meter them by before/after deltas).
 func (g *Graph) Clear() {
 	for v := range g.head {
 		g.head[v] = g.head[v][:0]
@@ -258,86 +254,14 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// CloneInto deep-copies g — structure, capacities, current flow, labels,
-// and work counters, exactly like Clone — into dst, reusing dst's backing
-// arrays where their capacity allows. Cloning into the same arena
-// repeatedly allocates nothing once the arrays have grown to size.
-// Returns dst. Cloning a graph into itself is a no-op.
-func (g *Graph) CloneInto(dst *Graph) *Graph {
-	if dst == g {
-		return dst
-	}
-	dst.n = g.n
-	dst.to = append(dst.to[:0], g.to...)
-	dst.cap = append(dst.cap[:0], g.cap...)
-	dst.resid = append(dst.resid[:0], g.resid...)
-	dst.label = append(dst.label[:0], g.label...)
-	dst.stats = g.stats
-	// The destination's previous contents are gone: advance its own
-	// generation (rather than adopting the source's) so any state keyed to
-	// what the arena held before the clone is invalidated.
-	dst.gen++
-	// Adjacency: resize the outer slice preserving retained buckets, then
-	// overwrite each bucket in place.
-	for len(dst.head) < g.n {
-		if n := len(dst.head); n < cap(dst.head) {
-			dst.head = dst.head[:n+1]
-		} else {
-			dst.head = append(dst.head, nil)
-		}
-	}
-	dst.head = dst.head[:g.n]
-	for v := 0; v < g.n; v++ {
-		dst.head[v] = append(dst.head[v][:0], g.head[v]...)
-	}
-	return dst
-}
-
-// Solver selects the augmenting algorithm.
-type Solver int
-
-const (
-	// Dinic is the default solver: blocking flows over BFS level graphs.
-	Dinic Solver = iota
-	// EdmondsKarp augments along shortest paths (BFS Ford–Fulkerson).
-	EdmondsKarp
-	// PushRelabel is a FIFO push–relabel with the gap heuristic.
-	PushRelabel
-)
-
-// String names the solver.
-func (s Solver) String() string {
-	switch s {
-	case Dinic:
-		return "dinic"
-	case EdmondsKarp:
-		return "edmonds-karp"
-	case PushRelabel:
-		return "push-relabel"
-	}
-	return fmt.Sprintf("solver(%d)", int(s))
-}
-
-// MaxFlow computes the maximum s→t flow using the chosen solver, leaving
-// the flow recorded on the graph's edges. Any pre-existing flow is cleared.
-func (g *Graph) MaxFlow(s, t int, solver Solver) float64 {
-	if s < 0 || s >= g.n || t < 0 || t >= g.n {
-		panic(fmt.Sprintf("maxflow: terminal out of range: s=%d t=%d n=%d", s, t, g.n))
-	}
-	if s == t {
-		panic("maxflow: source equals sink")
-	}
+// MaxFlow computes the maximum s→t flow with Dinic's algorithm, leaving the
+// flow recorded on the graph's edges. Any pre-existing flow is cleared.
+func (g *Graph) MaxFlow(s, t int) float64 {
+	g.checkTerminals(s, t)
 	g.stats.Solves++
 	g.gen++
 	g.Reset()
-	switch solver {
-	case EdmondsKarp:
-		return g.edmondsKarp(s, t)
-	case PushRelabel:
-		return g.pushRelabel(s, t)
-	default:
-		return g.dinic(s, t)
-	}
+	return g.dinic(s, t)
 }
 
 // Augment extends whatever valid flow currently sits on the graph to a
@@ -347,73 +271,21 @@ func (g *Graph) MaxFlow(s, t int, solver Solver) float64 {
 // continuing from a previous solve after capacities were raised (see
 // RaiseCapacity) yields the same value as a cold solve. The starting state
 // must be a valid flow — conservation at every internal node — which every
-// completed MaxFlow/Augment leaves behind; push–relabel continuations run
-// Dinic on the residual network, since PushRelabel's preflow initialization
-// assumes empty edges.
-func (g *Graph) Augment(s, t int, solver Solver) float64 {
+// completed MaxFlow/Augment leaves behind.
+func (g *Graph) Augment(s, t int) float64 {
+	g.checkTerminals(s, t)
+	g.stats.Solves++
+	g.gen++
+	return g.dinic(s, t)
+}
+
+// checkTerminals panics unless s and t are distinct nodes of g.
+func (g *Graph) checkTerminals(s, t int) {
 	if s < 0 || s >= g.n || t < 0 || t >= g.n {
 		panic(fmt.Sprintf("maxflow: terminal out of range: s=%d t=%d n=%d", s, t, g.n))
 	}
 	if s == t {
 		panic("maxflow: source equals sink")
-	}
-	g.stats.Solves++
-	g.gen++
-	switch solver {
-	case EdmondsKarp:
-		return g.edmondsKarp(s, t)
-	default:
-		return g.dinic(s, t)
-	}
-}
-
-func (g *Graph) edmondsKarp(s, t int) float64 {
-	total := 0.0
-	parent := make([]EdgeID, g.n)
-	queue := make([]int, 0, g.n)
-	for {
-		for i := range parent {
-			parent[i] = -1
-		}
-		parent[s] = -2
-		queue = append(queue[:0], s)
-		found := false
-	bfs:
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, e := range g.head[u] {
-				v := int(g.to[e])
-				if parent[v] == -1 && g.resid[e] > Eps {
-					parent[v] = e
-					if v == t {
-						found = true
-						break bfs
-					}
-					queue = append(queue, v)
-				}
-			}
-		}
-		if !found {
-			return total
-		}
-		// Bottleneck along the path.
-		bottleneck := Inf
-		for v := t; v != s; {
-			e := parent[v]
-			if g.resid[e] < bottleneck {
-				bottleneck = g.resid[e]
-			}
-			v, _ = g.Endpoints(e)
-		}
-		for v := t; v != s; {
-			e := parent[v]
-			g.resid[e] -= bottleneck
-			g.resid[e^1] += bottleneck
-			v, _ = g.Endpoints(e)
-		}
-		g.stats.AugmentingPaths++
-		total += bottleneck
 	}
 }
 
@@ -477,180 +349,6 @@ func (g *Graph) dinicDFS(u, t int, limit float64, level []int32, iter []int) flo
 	return 0
 }
 
-func (g *Graph) pushRelabel(s, t int) float64 {
-	n := g.n
-	height := make([]int, n)
-	excess := make([]float64, n)
-	count := make([]int, 2*n+1) // nodes at each height, for the gap heuristic
-	inQueue := make([]bool, n)
-	queue := make([]int, 0, n)
-
-	height[s] = n
-	count[0] = n - 1
-	count[n] = 1
-
-	enqueue := func(v int) {
-		if !inQueue[v] && v != s && v != t && excess[v] > Eps {
-			inQueue[v] = true
-			queue = append(queue, v)
-		}
-	}
-
-	// Saturate source edges.
-	for _, e := range g.head[s] {
-		if e%2 != 0 { // only forward edges leave flow from s initially
-			continue
-		}
-		c := g.resid[e]
-		if c <= Eps {
-			continue
-		}
-		if math.IsInf(c, 1) {
-			// Infinite arcs out of the source would make excess infinite;
-			// cap the initial push by the total finite capacity of the
-			// graph (an upper bound on any feasible flow).
-			c = g.finiteCapSum()
-		}
-		v := int(g.to[e])
-		g.resid[e] -= c
-		g.resid[e^1] += c
-		excess[v] += c
-		excess[s] -= c
-		enqueue(v)
-	}
-
-	relabel := func(u int) {
-		g.stats.Relabels++
-		count[height[u]]--
-		minH := 2 * n
-		for _, e := range g.head[u] {
-			if g.resid[e] > Eps {
-				if h := height[int(g.to[e])] + 1; h < minH {
-					minH = h
-				}
-			}
-		}
-		if count[height[u]] == 0 && height[u] < n {
-			// Gap heuristic: lift every node stranded above the gap.
-			gap := height[u]
-			for v := 0; v < n; v++ {
-				if v != s && height[v] > gap && height[v] < n {
-					count[height[v]]--
-					height[v] = n + 1
-					count[height[v]]++
-				}
-			}
-		}
-		height[u] = minH
-		count[minH]++
-	}
-
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		inQueue[u] = false
-		for excess[u] > Eps {
-			pushed := false
-			for _, e := range g.head[u] {
-				if excess[u] <= Eps {
-					break
-				}
-				v := int(g.to[e])
-				if g.resid[e] > Eps && height[u] == height[v]+1 {
-					d := math.Min(excess[u], g.resid[e])
-					g.resid[e] -= d
-					g.resid[e^1] += d
-					excess[u] -= d
-					excess[v] += d
-					enqueue(v)
-					pushed = true
-				}
-			}
-			if !pushed {
-				relabel(u)
-				if height[u] >= 2*n {
-					break
-				}
-			}
-		}
-	}
-	// Second phase: the preflow left on the edges is not necessarily a
-	// flow. Eps-thresholded discharge can abandon sub-Eps excess at a node,
-	// and float cancellation at large scales (returning a finiteCapSum-sized
-	// excess across an infinite source arc rounds at ulp of that sum) can
-	// annihilate small amounts from one edge's record but not its
-	// neighbor's. Rebalance the recorded flows so conservation holds.
-	g.rebalance(s, t)
-	// Rebalancing cancels flow upstream and may unsaturate a former cut
-	// edge; finish with augmenting paths so the flow is maximal again.
-	return excess[t] + g.dinic(s, t)
-}
-
-// rebalance converts the edge-recorded preflow into a valid flow: at every
-// internal node whose recorded inflow exceeds its recorded outflow, cancel
-// the surplus on incoming flow-carrying edges, propagating it upstream
-// until it is absorbed at the source, the sink, or a deficit node. Works
-// purely on the edge bookkeeping, so it also repairs imbalances that exist
-// only there (where no residual path back to the source survives).
-func (g *Graph) rebalance(s, t int) {
-	surplus := make([]float64, g.n)
-	for i := 0; i < len(g.to); i += 2 {
-		f := g.Flow(EdgeID(i))
-		if f <= 0 {
-			continue
-		}
-		surplus[int(g.to[i])] += f
-		surplus[int(g.to[i^1])] -= f
-	}
-	inWork := make([]bool, g.n)
-	work := make([]int, 0, g.n)
-	push := func(v int) {
-		if v != s && v != t && surplus[v] > Eps/2 && !inWork[v] {
-			inWork[v] = true
-			work = append(work, v)
-		}
-	}
-	for v := 0; v < g.n; v++ {
-		push(v)
-	}
-	// Each cancellation either clears a node's surplus or zeroes an edge's
-	// flow; the budget is a safety net against float ping-pong on cycles.
-	for budget := 4 * g.n * len(g.to); len(work) > 0 && budget > 0; budget-- {
-		v := work[len(work)-1]
-		work = work[:len(work)-1]
-		inWork[v] = false
-		for _, e := range g.head[v] {
-			if surplus[v] <= 0 {
-				break
-			}
-			if e&1 == 0 {
-				continue // even ids in head[v] leave v; odd ids mirror edges into v
-			}
-			f := g.Flow(e ^ 1)
-			if f <= 0 {
-				continue
-			}
-			d := math.Min(surplus[v], f)
-			g.resid[e^1] += d
-			g.resid[e] -= d
-			surplus[v] -= d
-			u := int(g.to[e])
-			surplus[u] += d
-			push(u)
-		}
-	}
-}
-
-func (g *Graph) finiteCapSum() float64 {
-	sum := 0.0
-	for e := 0; e < len(g.cap); e += 2 {
-		if !math.IsInf(g.cap[e], 1) {
-			sum += g.cap[e]
-		}
-	}
-	return sum
-}
-
 // MinCut returns the edges crossing the minimum s-side cut after MaxFlow has
 // run, plus the set of nodes on the source side. The sum of the returned
 // edges' capacities equals the max-flow value (max-flow min-cut theorem).
@@ -686,7 +384,7 @@ type Path struct {
 }
 
 // Decompose breaks the current flow into at most M source→sink paths
-// (cycles in the flow, which the solvers here never produce for DAG-shaped
+// (cycles in the flow, which the solver never produces for DAG-shaped
 // communication graphs, are dropped). The graph's flow state is preserved.
 func (g *Graph) Decompose(s, t int) []Path {
 	// Work on a copy of per-edge flow.

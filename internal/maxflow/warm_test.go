@@ -22,7 +22,7 @@ type warmNet struct {
 
 // buildWarmNet deterministically constructs the same network for a seed, so
 // a warm and a cold bisector can run on independent but identical copies.
-func buildWarmNet(seed int64, solver Solver, disableWarm bool) *warmNet {
+func buildWarmNet(seed int64, disableWarm bool) *warmNet {
 	r := rand.New(rand.NewSource(seed))
 	nStorage := 2 + r.Intn(3)
 	nMid := 1 + r.Intn(3)
@@ -50,7 +50,6 @@ func buildWarmNet(seed int64, solver Solver, disableWarm bool) *warmNet {
 		demand += perGPU[i]
 	}
 	bis := NewTimeBisector(g, s, t, demand)
-	bis.Solver = solver
 	bis.DisableWarmStart = disableWarm
 
 	w := &warmNet{g: g, bis: bis}
@@ -146,9 +145,8 @@ func TestWarmStartMatchesColdStart(t *testing.T) {
 	const tol = 1e-4
 	totalWarm := 0
 	for seed := int64(0); seed < 100; seed++ {
-		solver := []Solver{Dinic, EdmondsKarp, PushRelabel}[seed%3]
-		warm := buildWarmNet(seed, solver, false)
-		cold := buildWarmNet(seed, solver, true)
+		warm := buildWarmNet(seed, false)
+		cold := buildWarmNet(seed, true)
 		agree(t, seed, tol, warm.bis, cold.bis)
 		totalWarm += warm.bis.WarmStarts
 		if cold.bis.WarmStarts != 0 {
@@ -186,8 +184,8 @@ func TestWarmStartUnderFaultSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm := buildWarmNet(seed, Dinic, false)
-		cold := buildWarmNet(seed, Dinic, true)
+		warm := buildWarmNet(seed, false)
+		cold := buildWarmNet(seed, true)
 		for _, at := range []float64{0, 3, 6, 9, 12} {
 			warm.degrade(t, in, at)
 			cold.degrade(t, in, at)
@@ -209,7 +207,7 @@ func TestWarmStartUnderFaultSchedules(t *testing.T) {
 // (never silently reuse a now-invalid flow), and the post-abort answer must
 // match a from-scratch bisector.
 func TestWarmAbortSelfDetection(t *testing.T) {
-	build := func() *warmNet { return buildWarmNet(7, Dinic, false) }
+	build := func() *warmNet { return buildWarmNet(7, false) }
 	w := build()
 	probe := 5.0
 	w.bis.Feasible(probe) // cold: establishes warm state at the probe horizon
@@ -270,7 +268,7 @@ func TestWarmAbortSelfDetection(t *testing.T) {
 // TestSetRateSetFixedValidation covers the error paths of the schedule
 // mutators.
 func TestSetRateSetFixedValidation(t *testing.T) {
-	w := buildWarmNet(3, Dinic, false)
+	w := buildWarmNet(3, false)
 	if err := w.bis.SetRate(w.ssdRate[0], -1); err == nil {
 		t.Error("negative rate accepted")
 	}
@@ -291,7 +289,7 @@ func TestSetRateSetFixedValidation(t *testing.T) {
 // TestInvalidateWarmForcesCold verifies the explicit escape hatch for
 // callers that mutate the graph behind the bisector's back.
 func TestInvalidateWarmForcesCold(t *testing.T) {
-	w := buildWarmNet(11, Dinic, false)
+	w := buildWarmNet(11, false)
 	w.bis.Feasible(4)
 	w.bis.InvalidateWarm()
 	w.bis.Feasible(8) // growing horizon, but warm state was discarded
@@ -306,7 +304,7 @@ func TestInvalidateWarmForcesCold(t *testing.T) {
 // TestReinitDropsState verifies arena rebinding: registered edges, probe
 // counters, and warm state all reset while the bisector struct is reused.
 func TestReinitDropsState(t *testing.T) {
-	w := buildWarmNet(5, Dinic, false)
+	w := buildWarmNet(5, false)
 	if _, err := w.bis.MinTime(1e-4); err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +339,7 @@ func TestReinitDropsState(t *testing.T) {
 // metric accessors rely on).
 func TestWarmStartLeavesUsableFlow(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
-		w := buildWarmNet(seed, Dinic, false)
+		w := buildWarmNet(seed, false)
 		if _, err := w.bis.MinTime(1e-4); err != nil {
 			t.Fatal(err)
 		}

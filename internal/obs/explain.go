@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"container/heap"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -22,12 +23,15 @@ import (
 // (Seq, Stage, Subject, Reason, Count, Value) and floats format with
 // strconv's shortest round-trip form, so a fixed request renders
 // byte-identically across runs — the property the golden tests and the
-// /v1/explain endpoint rely on.
+// /v1/explain endpoint rely on. A full trail keeps the steps that sort
+// first, whatever order concurrent recorders add them in, and run-level
+// summary steps never count against the bound.
 type Explain struct {
 	mu      sync.Mutex
 	limit   int
 	reasons *LabelCap
-	steps   []ExplainStep
+	steps   keptSteps     // per-candidate steps; a max-heap once full
+	summary []ExplainStep // Seq == SeqSummary steps, kept unbounded
 	dropped int
 }
 
@@ -50,8 +54,8 @@ type ExplainStep struct {
 // enumeration index, so summaries render after per-candidate steps.
 const SeqSummary = 1 << 30
 
-// NewExplain returns a trail holding up to 4096 steps with reason
-// cardinality capped at 64.
+// NewExplain returns a trail holding up to 4096 per-candidate steps with
+// reason cardinality capped at 64.
 func NewExplain() *Explain { return NewExplainLimit(0, 0) }
 
 // NewExplainLimit is NewExplain with explicit bounds (<= 0 picks the
@@ -66,32 +70,79 @@ func NewExplainLimit(maxSteps, reasonCap int) *Explain {
 	return &Explain{limit: maxSteps, reasons: NewLabelCap(reasonCap)}
 }
 
-// Add records one step. Steps past the limit are counted as dropped rather
-// than stored; reasons pass through the trail's LabelCap. No-op (and
-// alloc-free) on a nil trail.
+// Add records one step; reasons pass through the trail's LabelCap. Summary
+// steps (Seq == SeqSummary) are always kept. Once the trail holds its limit
+// of other steps, each further one is counted as dropped and evicts the
+// kept step that sorts last if it sorts before it, so a truncated trail
+// holds the limit smallest steps in canonical order regardless of arrival
+// order. No-op (and alloc-free) on a nil trail.
 func (e *Explain) Add(step ExplainStep) {
 	if e == nil {
 		return
 	}
 	e.mu.Lock()
-	if len(e.steps) >= e.limit {
-		e.dropped++
-		e.mu.Unlock()
-		return
-	}
+	defer e.mu.Unlock()
 	step.Reason = e.reasons.Get(step.Reason)
-	e.steps = append(e.steps, step)
-	e.mu.Unlock()
+	switch {
+	case step.Seq == SeqSummary:
+		e.summary = append(e.summary, step)
+	case len(e.steps) < e.limit:
+		e.steps = append(e.steps, step)
+		if len(e.steps) == e.limit {
+			heap.Init(&e.steps)
+		}
+	default:
+		e.dropped++
+		if len(e.steps) > 0 && stepLess(step, e.steps[0]) {
+			e.steps[0] = step
+			heap.Fix(&e.steps, 0)
+		}
+	}
 }
 
-// Len reports the number of recorded steps.
+// keptSteps is a max-heap in the trail's canonical order: the root is the
+// step a full trail evicts first.
+type keptSteps []ExplainStep
+
+func (h keptSteps) Len() int           { return len(h) }
+func (h keptSteps) Less(i, j int) bool { return stepLess(h[j], h[i]) }
+func (h keptSteps) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *keptSteps) Push(x any)        { *h = append(*h, x.(ExplainStep)) }
+func (h *keptSteps) Pop() any {
+	last := (*h)[len(*h)-1]
+	*h = (*h)[:len(*h)-1]
+	return last
+}
+
+// stepLess is the trail's canonical order: (Seq, Stage, Subject, Reason,
+// Count, Value).
+func stepLess(a, b ExplainStep) bool {
+	if a.Seq != b.Seq {
+		return a.Seq < b.Seq
+	}
+	if a.Stage != b.Stage {
+		return a.Stage < b.Stage
+	}
+	if a.Subject != b.Subject {
+		return a.Subject < b.Subject
+	}
+	if a.Reason != b.Reason {
+		return a.Reason < b.Reason
+	}
+	if a.Count != b.Count {
+		return a.Count < b.Count
+	}
+	return a.Value < b.Value
+}
+
+// Len reports the number of recorded steps, summaries included.
 func (e *Explain) Len() int {
 	if e == nil {
 		return 0
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.steps)
+	return len(e.steps) + len(e.summary)
 }
 
 // Dropped reports steps discarded past the limit.
@@ -105,36 +156,18 @@ func (e *Explain) Dropped() int {
 }
 
 // Steps returns the trail in deterministic order: (Seq, Stage, Subject,
-// Reason, Count, Value). Concurrent recorders (the streaming search) append
-// in arrival order, so the sort — not insertion — defines the canonical
-// order.
+// Reason, Count, Value). Concurrent recorders (the search's scoring
+// workers) add in arrival order, so the sort — not insertion — defines the
+// canonical order.
 func (e *Explain) Steps() []ExplainStep {
 	if e == nil {
 		return nil
 	}
 	e.mu.Lock()
-	out := make([]ExplainStep, len(e.steps))
-	copy(out, e.steps)
+	out := make([]ExplainStep, 0, len(e.steps)+len(e.summary))
+	out = append(append(out, e.steps...), e.summary...)
 	e.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Seq != b.Seq {
-			return a.Seq < b.Seq
-		}
-		if a.Stage != b.Stage {
-			return a.Stage < b.Stage
-		}
-		if a.Subject != b.Subject {
-			return a.Subject < b.Subject
-		}
-		if a.Reason != b.Reason {
-			return a.Reason < b.Reason
-		}
-		if a.Count != b.Count {
-			return a.Count < b.Count
-		}
-		return a.Value < b.Value
-	})
+	sort.Slice(out, func(i, j int) bool { return stepLess(out[i], out[j]) })
 	return out
 }
 

@@ -58,6 +58,41 @@ func TestExplainStepLimitAndDropped(t *testing.T) {
 	}
 }
 
+// TestExplainTruncationKeepsSmallest overfills a trail in several orders:
+// it must keep the same limit smallest steps every time, and summary steps
+// must survive however late they arrive.
+func TestExplainTruncationKeepsSmallest(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var first string
+	for trial := 0; trial < 5; trial++ {
+		e := NewExplainLimit(4, 0)
+		for _, i := range rng.Perm(10) {
+			e.Add(ExplainStep{Seq: i, Stage: "score", Subject: "c", Value: float64(i)})
+			e.Add(ExplainStep{Seq: i, Stage: "bisect", Subject: "c", Reason: "probes", Count: i})
+		}
+		e.Add(ExplainStep{Seq: SeqSummary, Stage: "result", Subject: "c0", Value: 1})
+		e.Add(ExplainStep{Seq: SeqSummary, Stage: "plan", Reason: "epoch", Value: 2})
+		if e.Len() != 6 || e.Dropped() != 16 {
+			t.Fatalf("Len %d, Dropped %d; want 6 and 16", e.Len(), e.Dropped())
+		}
+		steps := e.Steps()
+		for i, s := range steps[:4] {
+			if s.Seq != i/2 {
+				t.Fatalf("kept step %d has Seq %d, want %d: %+v", i, s.Seq, i/2, steps)
+			}
+		}
+		got := e.Render()
+		if !strings.Contains(got, "[  sum] result c0") || !strings.Contains(got, "[  sum] plan reason=epoch") {
+			t.Fatalf("summaries lost from a full trail:\n%s", got)
+		}
+		if trial == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("truncated render depends on insertion order:\n%s\nvs\n%s", first, got)
+		}
+	}
+}
+
 func TestExplainReasonCap(t *testing.T) {
 	e := NewExplainLimit(100, 2)
 	e.Add(ExplainStep{Stage: "prune", Reason: "a"})

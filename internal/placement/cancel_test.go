@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"moment/internal/obs"
 	"moment/internal/scorecache"
 	"moment/internal/topology"
 )
@@ -37,12 +38,13 @@ func TestSearchCanceledBeforeStart(t *testing.T) {
 }
 
 // TestSearchCancelMidStream cancels the context from inside a candidate
-// evaluation: the streaming pipeline must abort promptly, return the
-// context's error, leak no stage goroutines, and leave nothing poisoned in
-// a shared score cache (a later uncanceled search over the same cache must
-// match a cache-free reference exactly).
+// evaluation: the search must abort promptly, return the context's error,
+// leak no worker goroutines, and leave nothing poisoned in a shared score
+// cache (a later uncanceled search over the same cache must match a
+// cache-free reference exactly). "serial" runs one scoring worker,
+// "stream" the default GOMAXPROCS workers.
 func TestSearchCancelMidStream(t *testing.T) {
-	for _, mode := range []string{"stream", "serial"} {
+	for mode, parallelism := range map[string]int{"stream": 0, "serial": 1} {
 		t.Run(mode, func(t *testing.T) {
 			m := topology.MachineB()
 			d := demand(4)
@@ -57,16 +59,30 @@ func TestSearchCancelMidStream(t *testing.T) {
 			defer func() { evalHook = nil }()
 
 			cache := scorecache.NewScores(256)
+			o := obs.New()
+			flight := o.EnableFlight(64)
 			before := runtime.NumGoroutine()
 			_, err := Search(m, d, Options{
-				Ctx:    ctx,
-				Cache:  cache,
-				Serial: mode == "serial",
+				Ctx:         ctx,
+				Cache:       cache,
+				Parallelism: parallelism,
+				Observer:    o,
 			})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
 			waitGoroutines(t, before)
+			// The solve the cancellation interrupted is recorded as a
+			// probe abort in the flight recorder.
+			aborts := 0
+			for _, ev := range flight.Events() {
+				if ev.Kind == obs.EvProbeAbort {
+					aborts++
+				}
+			}
+			if aborts == 0 {
+				t.Error("canceled search recorded no probe-abort flight event")
+			}
 
 			// The cache must hold only completed evaluations, never a
 			// canceled solve recorded as infeasible: a warm re-search must

@@ -21,10 +21,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"moment/internal/flownet"
-	"moment/internal/maxflow"
 	"moment/internal/obs"
 	"moment/internal/scorecache"
 	"moment/internal/topology"
@@ -38,31 +36,44 @@ func Enumerate(m *topology.Machine) ([]*topology.Placement, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	gpuDists, ssdDists := dists(m)
+	var out []*topology.Placement
+	emit(m, gpuDists, ssdDists, func(c cand) bool {
+		out = append(out, c.p)
+		return true
+	})
+	return out, nil
+}
+
+// FirstCandidate returns the first placement Enumerate lists ("cand0")
+// without building the rest. Demand formulation needs some valid placement
+// and does not depend on which, so planners take this one.
+func FirstCandidate(m *topology.Machine) (*topology.Placement, error) {
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	gpuDists, ssdDists := dists(m)
+	var first *topology.Placement
+	emit(m, gpuDists, ssdDists, func(c cand) bool {
+		first = c.p
+		return false
+	})
+	if first == nil {
+		return nil, fmt.Errorf("placement: no feasible candidates for machine %s", m.Name)
+	}
+	return first, nil
+}
+
+// dists returns every per-attach-point GPU count vector and every SSD count
+// vector that fits m's slots; their cross product is the enumeration.
+func dists(m *topology.Machine) (gpuDists, ssdDists [][]int) {
 	gpuCaps := make([]int, len(m.Points))
 	ssdCaps := make([]int, len(m.Points))
 	for i, p := range m.Points {
 		gpuCaps[i] = p.GPUSlots
 		ssdCaps[i] = p.Bays
 	}
-	gpuDists := compositions(m.NumGPUs, gpuCaps)
-	ssdDists := compositions(m.NumSSDs, ssdCaps)
-	var out []*topology.Placement
-	for _, gd := range gpuDists {
-		for _, sd := range ssdDists {
-			p := &topology.Placement{}
-			for i, pt := range m.Points {
-				for k := 0; k < gd[i]; k++ {
-					p.GPUAt = append(p.GPUAt, pt.ID)
-				}
-				for k := 0; k < sd[i]; k++ {
-					p.SSDAt = append(p.SSDAt, pt.ID)
-				}
-			}
-			p.Name = fmt.Sprintf("cand%d", len(out))
-			out = append(out, p)
-		}
-	}
-	return out, nil
+	return compositions(m.NumGPUs, gpuCaps), compositions(m.NumSSDs, ssdCaps)
 }
 
 // compositions returns all ways to write total as a sum over len(caps)
@@ -160,16 +171,10 @@ type Options struct {
 	SkipDedupe bool
 	// KeepScores records every candidate's predicted time in the result.
 	KeepScores bool
-	// Serial runs the single-goroutine reference pipeline instead of the
-	// streaming one: enumerate, dedupe, and score sequentially in
-	// enumeration order. It produces identical results and counters — the
-	// differential baseline the streaming path is tested (and benchmarked)
-	// against.
-	Serial bool
-	// Cache, when non-nil, memoizes candidate scores across searches,
-	// local searches, and fault-triggered replans. Keys combine the
-	// canonical placement class with machine-rate and demand fingerprints,
-	// so a shared cache is safe across machines and demands.
+	// Cache, when non-nil, memoizes candidate scores across searches and
+	// fault-triggered replans. Keys combine the canonical placement class
+	// with machine-rate and demand fingerprints, so a shared cache is safe
+	// across machines and demands.
 	Cache *scorecache.Scores
 	// FaultsKey folds an injected fault schedule into the score-cache key
 	// (callers pass faults.Format output). Two searches over identical
@@ -177,13 +182,6 @@ type Options struct {
 	// share memoized scores: leave it empty only when scores are
 	// schedule-independent (the healthy-machine planner).
 	FaultsKey string
-	// NoProbePool makes the streaming pipeline solve bisections inline in
-	// its scoring workers instead of submitting them to the shared
-	// maxflow.ProbePool — the pre-pool behavior, kept as the differential
-	// reference (and escape hatch). Serial mode never uses the pool. The
-	// pool is also bypassed while flownet self-checks are installed, since
-	// those audit the solved flow on the network itself.
-	NoProbePool bool
 	// Observer receives spans and metrics for the search (nil falls back
 	// to the process default observer; both nil = no instrumentation).
 	Observer *obs.Observer
@@ -191,8 +189,8 @@ type Options struct {
 	// candidates pruned (with reasons), score-cache hits, per-candidate
 	// bisection work, and run-level summaries. Steps carry the candidate's
 	// enumeration index, so the rendered trail is deterministic for a fixed
-	// machine/demand even under the streaming pipeline. Nil (the default)
-	// costs nothing on the hot path.
+	// machine/demand at any Parallelism. Nil (the default) costs nothing on
+	// the hot path.
 	Explain *obs.Explain
 	// Ctx, when non-nil, cancels an in-flight search: enumeration stops,
 	// scoring workers abandon their current bisection at the next probe
@@ -224,9 +222,9 @@ type Result struct {
 	Machine    *topology.Machine
 }
 
-// cand is one enumerated placement flowing through the search pipeline.
-// seq is its enumeration index (also its "cand%d" name); key is filled by
-// the dedupe stage when canonicalization ran.
+// cand is one enumerated placement handed to a scoring worker. seq is its
+// enumeration index (also its "cand%d" name); key is filled by the dedupe
+// stage when canonicalization ran.
 type cand struct {
 	seq int
 	p   *topology.Placement
@@ -241,8 +239,8 @@ type scoredSeq struct {
 	hit bool
 }
 
-// CacheKey returns the score-cache key under which Search, LocalSearch, and
-// replans memoize candidate p's predicted time: the canonical placement
+// CacheKey returns the score-cache key under which Search and replans
+// memoize candidate p's predicted time: the canonical placement
 // class prefixed with machine-rate and demand fingerprints plus the
 // bisection tolerance, so one shared cache serves different machines,
 // demands, and tolerances without collisions.
@@ -282,7 +280,8 @@ func cachePrefix(m *topology.Machine, d *flownet.Demand, tol float64, faultsKey 
 	return fmt.Sprintf("%x|%x|", h.Sum(), d.Fingerprint())
 }
 
-// searchState carries the per-search context shared by the pipeline stages.
+// searchState carries the per-search context shared by the dispatch loop
+// and the scoring workers.
 type searchState struct {
 	m      *topology.Machine
 	d      *flownet.Demand
@@ -292,20 +291,22 @@ type searchState struct {
 	ex     *obs.Explain // nil when the caller asked for no provenance
 	prefix string       // cache key prefix; "" when no cache
 
-	enumerated atomic.Int64
-	pruned     atomic.Int64
+	// Written by the dispatch loop alone, read after it returns.
+	enumerated int
+	pruned     int
 }
 
 // collector folds scored candidates into a Result deterministically: the
-// best is the minimum (time, enumeration index) pair, so arrival order —
-// which the streaming pipeline does not guarantee — never shows through.
+// best is the minimum (time, enumeration index) pair, so the order in which
+// workers finish never shows through. Each worker owns one; they merge
+// after the workers drain.
 type collector struct {
-	best    *Scored
-	bestSeq int
-	count   int
-	hits    int
-	scores  []scoredSeq
-	keep    bool
+	best   scoredSeq
+	found  bool
+	count  int
+	hits   int
+	scores []scoredSeq
+	keep   bool
 }
 
 func (c *collector) add(s scoredSeq) {
@@ -316,27 +317,39 @@ func (c *collector) add(s scoredSeq) {
 	if c.keep {
 		c.scores = append(c.scores, s)
 	}
-	if s.Err != nil {
-		return
+	if s.Err == nil {
+		c.consider(s)
 	}
-	if c.best == nil || s.Time < c.best.Time || (s.Time == c.best.Time && s.seq < c.bestSeq) {
-		sc := s.Scored
-		c.best, c.bestSeq = &sc, s.seq
+}
+
+// consider makes s the best if it beats the current one on (time, seq).
+func (c *collector) consider(s scoredSeq) {
+	if !c.found || s.Time < c.best.Time || (s.Time == c.best.Time && s.seq < c.best.seq) {
+		c.best, c.found = s, true
+	}
+}
+
+// merge folds another worker's collector into c.
+func (c *collector) merge(o *collector) {
+	c.count += o.count
+	c.hits += o.hits
+	c.scores = append(c.scores, o.scores...)
+	if o.found {
+		c.consider(o.best)
 	}
 }
 
 // Search enumerates placements, reduces symmetry, scores every survivor by
 // time-bisection max-flow under demand d, and returns the fastest.
 //
-// The three stages — enumerate, dedupe (canonical-key isomorphic
-// reduction), and score — run as a streaming channel pipeline: candidates
-// are scored while later ones are still being enumerated, and a bounded
-// worker pool (min(Parallelism, enumeration size) goroutines, each holding
-// a reusable scratch network) drains the dedupe stage. Options.Serial runs
-// the same stages in a single goroutine as the differential reference.
-// Candidates whose networks are infeasible (disconnected demand) are
-// skipped; with Options.Cache, previously seen candidates skip the max-flow
-// solve entirely.
+// The caller's goroutine enumerates and dedupes (canonical-key isomorphic
+// reduction), handing survivors in enumeration order to min(Parallelism,
+// enumeration size) scoring workers. Each worker rebuilds candidate
+// networks into its own scratch network and folds its scores into its own
+// collector; the collectors merge once the workers drain, so the result is
+// the same at any Parallelism. Candidates whose networks are infeasible
+// (disconnected demand) are skipped; with Options.Cache, previously seen
+// candidates skip the max-flow solve entirely.
 func Search(m *topology.Machine, d *flownet.Demand, opt Options) (*Result, error) {
 	if opt.Tolerance <= 0 {
 		opt.Tolerance = 1e-4
@@ -355,22 +368,12 @@ func Search(m *topology.Machine, d *flownet.Demand, opt Options) (*Result, error
 	o := obs.Active(opt.Observer)
 	sp := o.Begin("placement.search")
 	sp.SetStr("machine", m.Name)
-	if opt.Serial {
-		sp.SetStr("mode", "serial")
-	}
 	defer sp.End()
 
-	// The composition lists are tiny (one entry per attach point each);
-	// their product is the enumeration size, known before any candidate is
-	// built — it bounds the worker pool without materializing candidates.
-	gpuCaps := make([]int, len(m.Points))
-	ssdCaps := make([]int, len(m.Points))
-	for i, p := range m.Points {
-		gpuCaps[i] = p.GPUSlots
-		ssdCaps[i] = p.Bays
-	}
-	gpuDists := compositions(m.NumGPUs, gpuCaps)
-	ssdDists := compositions(m.NumSSDs, ssdCaps)
+	// The composition lists are small; their product is the enumeration
+	// size, known before any candidate is built — it bounds the workers
+	// without materializing candidates.
+	gpuDists, ssdDists := dists(m)
 	total := len(gpuDists) * len(ssdDists)
 	if total == 0 {
 		return nil, fmt.Errorf("placement: no feasible candidates for machine %s", m.Name)
@@ -381,38 +384,63 @@ func Search(m *topology.Machine, d *flownet.Demand, opt Options) (*Result, error
 		st.prefix = cachePrefix(m, d, opt.Tolerance, opt.FaultsKey)
 	}
 
-	var col collector
-	col.keep = opt.KeepScores
-	var err error
-	if opt.Serial {
-		err = searchSerial(st, gpuDists, ssdDists, &col)
-	} else {
-		err = searchStream(st, gpuDists, ssdDists, total, &col)
+	cols := make([]collector, min(opt.Parallelism, total))
+	// One slot per worker: a worker that finishes a candidate finds the
+	// next one waiting instead of waiting on canonicalization.
+	candc := make(chan cand, len(cols))
+	var wg sync.WaitGroup
+	for w := range cols {
+		col := &cols[w]
+		col.keep = opt.KeepScores
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var scratch *flownet.Network
+			for c := range candc {
+				if evalHook != nil {
+					evalHook()
+				}
+				var s scoredSeq
+				s, scratch = scoreCached(st, c, scratch)
+				col.add(s)
+			}
+		}()
+	}
+	err := st.dispatch(gpuDists, ssdDists, candc)
+	close(candc)
+	wg.Wait()
+	if err == nil && opt.Ctx != nil {
+		// A cancellation that landed after the last dispatch still voids
+		// the scores solved under it.
+		err = opt.Ctx.Err()
 	}
 	if err != nil {
 		return nil, err
 	}
+	col := &cols[0]
+	for w := 1; w < len(cols); w++ {
+		col.merge(&cols[w])
+	}
 
-	enumerated := int(st.enumerated.Load())
-	o.Counter("placement_candidates_enumerated_total").Add(float64(enumerated))
-	o.Counter("placement_candidates_pruned_total").Add(float64(st.pruned.Load()))
+	o.Counter("placement_candidates_enumerated_total").Add(float64(st.enumerated))
+	o.Counter("placement_candidates_pruned_total").Add(float64(st.pruned))
 
 	res := &Result{
-		Enumerated: enumerated,
+		Enumerated: st.enumerated,
 		Evaluated:  col.count,
 		CacheHits:  col.hits,
 		Demand:     d,
 		Machine:    m,
 	}
-	if col.best == nil {
+	if !col.found {
 		return nil, fmt.Errorf("placement: every candidate infeasible on machine %s", m.Name)
 	}
 	res.Time = col.best.Time
 	if res.Time > 0 {
 		res.Throughput = units.Bandwidth(d.TotalDemand() / res.Time.Sec())
 	}
-	st.ex.Add(obs.ExplainStep{Seq: obs.SeqSummary, Stage: "search", Reason: "enumerated", Count: enumerated})
-	st.ex.Add(obs.ExplainStep{Seq: obs.SeqSummary, Stage: "search", Reason: "pruned", Count: int(st.pruned.Load())})
+	st.ex.Add(obs.ExplainStep{Seq: obs.SeqSummary, Stage: "search", Reason: "enumerated", Count: st.enumerated})
+	st.ex.Add(obs.ExplainStep{Seq: obs.SeqSummary, Stage: "search", Reason: "pruned", Count: st.pruned})
 	st.ex.Add(obs.ExplainStep{Seq: obs.SeqSummary, Stage: "search", Reason: "evaluated", Count: col.count})
 	st.ex.Add(obs.ExplainStep{Seq: obs.SeqSummary, Stage: "search", Reason: "score-cache-hits", Count: col.hits})
 	st.ex.Add(obs.ExplainStep{Seq: obs.SeqSummary, Stage: "result", Subject: col.best.Placement.Name, Value: res.Time.Sec()})
@@ -447,8 +475,8 @@ func Search(m *topology.Machine, d *flownet.Demand, opt Options) (*Result, error
 }
 
 // emit streams the candidate cross product in enumeration order, calling
-// yield for each; a false return stops the walk. Names match the historical
-// Enumerate order ("cand<seq>").
+// yield for each; a false return stops the walk. Candidate seq is named
+// "cand<seq>".
 func emit(m *topology.Machine, gpuDists, ssdDists [][]int, yield func(c cand) bool) {
 	seq := 0
 	for _, gd := range gpuDists {
@@ -470,34 +498,32 @@ func emit(m *topology.Machine, gpuDists, ssdDists [][]int, yield func(c cand) bo
 	}
 }
 
-// searchSerial is the single-goroutine reference pipeline: the same
-// enumerate → dedupe → score stages run inline, in enumeration order.
-func searchSerial(st *searchState, gpuDists, ssdDists [][]int, col *collector) error {
-	// The stages are interleaved in one loop, so the enumerate and prune
-	// spans both cover it; their attributes carry the per-stage counts.
+// dispatch runs the enumerate and dedupe stages on the caller's goroutine
+// and sends each surviving candidate to the scoring workers. It stops at
+// the first canonicalization error or caller cancellation and returns it.
+func (st *searchState) dispatch(gpuDists, ssdDists [][]int, candc chan<- cand) error {
+	// Both stages run in this one loop, so the enumerate and prune spans
+	// both cover it; their attributes carry the per-stage counts.
 	esp := st.sp.Fork("enumerate")
 	psp := st.sp.Fork("prune")
 	needKey := !st.opt.SkipDedupe || st.opt.Cache != nil
 	seen := make(map[string]struct{})
-	var scratch *flownet.Network
-	var keyErr error
+	var err error
 	kept := 0
 	emit(st.m, gpuDists, ssdDists, func(c cand) bool {
-		st.enumerated.Add(1)
+		st.enumerated++
 		if st.opt.Ctx != nil {
-			if err := st.opt.Ctx.Err(); err != nil {
-				keyErr = err
+			if err = st.opt.Ctx.Err(); err != nil {
 				return false
 			}
 		}
 		if needKey {
-			c.key, keyErr = CanonicalKey(st.m, c.p)
-			if keyErr != nil {
+			if c.key, err = CanonicalKey(st.m, c.p); err != nil {
 				return false
 			}
 			if !st.opt.SkipDedupe {
 				if _, dup := seen[c.key]; dup {
-					st.pruned.Add(1)
+					st.pruned++
 					st.ex.Add(obs.ExplainStep{Seq: c.seq, Stage: "prune", Subject: c.p.Name, Reason: "isomorphic-duplicate"})
 					return true
 				}
@@ -505,287 +531,15 @@ func searchSerial(st *searchState, gpuDists, ssdDists [][]int, col *collector) e
 			}
 		}
 		kept++
-		if evalHook != nil {
-			evalHook()
-		}
-		var s scoredSeq
-		s, scratch = scoreCached(st, c, scratch)
-		col.add(s)
+		candc <- c
 		return true
 	})
-	esp.SetInt("candidates", int(st.enumerated.Load()))
+	esp.SetInt("candidates", st.enumerated)
 	esp.End()
 	psp.SetInt("kept", kept)
-	psp.SetInt("pruned", int(st.pruned.Load()))
+	psp.SetInt("pruned", st.pruned)
 	psp.End()
-	return keyErr
-}
-
-// searchStream is the concurrent pipeline: an enumerator goroutine feeds a
-// dedupe goroutine feeds a scoring stage; the caller's goroutine collects.
-// The scoring stage has two modes: by default, builder goroutines construct
-// candidate networks and hand the bisections to a shared maxflow.ProbePool
-// whose workers solve them on warm graph arenas (build and solve overlap,
-// see streamPoolScore); with Options.NoProbePool — or while flownet
-// self-checks are installed — a bounded worker pool builds and solves
-// inline, the pre-pool reference behavior. A closed done channel aborts
-// every stage early (canonicalization failure — enumerated candidates are
-// valid by construction, but the guard keeps the pipeline from deadlocking
-// if that invariant ever breaks).
-func searchStream(st *searchState, gpuDists, ssdDists [][]int, total int, col *collector) error {
-	workers := st.opt.Parallelism
-	if workers > total {
-		workers = total
-	}
-	usePool := !st.opt.NoProbePool && flownet.Check == nil
-	candc := make(chan cand, workers)
-	keyc := make(chan cand, workers)
-	resc := make(chan scoredSeq, workers)
-	done := make(chan struct{})
-	// The pool context fans an abort out to in-flight bisections and
-	// blocked pool operations; deriving it from the caller's context makes
-	// external cancellation reach pooled solves without a channel receive.
-	baseCtx := st.opt.Ctx
-	if baseCtx == nil {
-		baseCtx = context.Background()
-	}
-	poolCtx, poolCancel := context.WithCancel(baseCtx)
-	defer poolCancel()
-	var failErr error
-	var failOnce sync.Once
-	fail := func(err error) {
-		failOnce.Do(func() {
-			failErr = err
-			poolCancel()
-			close(done)
-		})
-	}
-	if st.opt.Ctx != nil {
-		// Abort every stage when the caller abandons the search. Workers
-		// mid-solve also see the context through the network (score passes
-		// it to the bisector), so cancellation is not gated on the next
-		// channel receive.
-		stop := context.AfterFunc(st.opt.Ctx, func() { fail(st.opt.Ctx.Err()) })
-		defer stop()
-	}
-
-	go func() { // stage 1: enumerate
-		esp := st.sp.Fork("enumerate")
-		defer func() {
-			esp.SetInt("candidates", int(st.enumerated.Load()))
-			esp.End()
-			close(candc)
-		}()
-		emit(st.m, gpuDists, ssdDists, func(c cand) bool {
-			st.enumerated.Add(1)
-			select {
-			case candc <- c:
-				return true
-			case <-done:
-				return false
-			}
-		})
-	}()
-
-	go func() { // stage 2: canonicalize + dedupe
-		psp := st.sp.Fork("prune")
-		kept := 0
-		defer func() {
-			psp.SetInt("kept", kept)
-			psp.SetInt("pruned", int(st.pruned.Load()))
-			psp.End()
-			close(keyc)
-		}()
-		needKey := !st.opt.SkipDedupe || st.opt.Cache != nil
-		seen := make(map[string]struct{})
-		for c := range candc {
-			if needKey {
-				key, err := CanonicalKey(st.m, c.p)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if !st.opt.SkipDedupe {
-					if _, dup := seen[key]; dup {
-						st.pruned.Add(1)
-						st.ex.Add(obs.ExplainStep{Seq: c.seq, Stage: "prune", Subject: c.p.Name, Reason: "isomorphic-duplicate"})
-						continue
-					}
-					seen[key] = struct{}{}
-				}
-				c.key = key
-			}
-			select {
-			case keyc <- c:
-				kept++
-			case <-done:
-				return
-			}
-		}
-	}()
-
-	var pool *maxflow.ProbePool
-	if usePool {
-		pool = streamPoolScore(st, keyc, resc, done, poolCtx, workers)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ { // stage 3: inline scoring pool
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var scratch *flownet.Network
-				for c := range keyc {
-					if evalHook != nil {
-						evalHook()
-					}
-					var s scoredSeq
-					s, scratch = scoreCached(st, c, scratch)
-					select {
-					case resc <- s:
-					case <-done:
-						return
-					}
-				}
-			}()
-		}
-		go func() {
-			wg.Wait()
-			close(resc)
-		}()
-	}
-
-	for s := range resc { // stage 4: collect (caller's goroutine)
-		col.add(s)
-	}
-	if st.opt.Ctx != nil {
-		// Cancellation reaches the pipeline through context parentage
-		// (poolCtx derives from the caller's context), which can drain every
-		// stage before the AfterFunc goroutine — the failErr writer — gets
-		// scheduled. Routing the context error through fail() here closes
-		// that race: the Once both makes the call idempotent and
-		// synchronizes the failErr read below with any concurrent writer.
-		if err := st.opt.Ctx.Err(); err != nil {
-			fail(err)
-		}
-	}
-	if pool != nil {
-		// resc only closes after ProbePool.Close returned (streamPoolScore's
-		// shutdown sequence), so the snapshot is final.
-		ps := pool.Stats()
-		st.o.Counter("probe_pool_probes_total").Add(float64(ps.Submitted))
-		st.o.Counter("probe_pool_solved_total").Add(float64(ps.Solved))
-		st.o.Counter("probe_pool_canceled_total").Add(float64(ps.Canceled))
-		st.o.Counter("probe_pool_arena_reuses_total").Add(float64(ps.ArenaReuses))
-		st.o.Gauge("probe_pool_workers").Set(float64(pool.NumWorkers()))
-	}
-	return failErr
-}
-
-// streamPoolScore is the pooled scoring stage: `workers` builder goroutines
-// consume deduped candidates, serve cache hits and build failures directly,
-// and submit everything else to a shared maxflow.ProbePool that solves the
-// bisections concurrently on its own warm graph arenas. Submit clones the
-// candidate's network synchronously, so a builder starts constructing its
-// next network (into the same recycled scratch) while the pool is still
-// solving the previous one — construction overlaps solving instead of
-// queueing behind it. A finisher goroutine meters pool results exactly as
-// an inline SolveTol would (flownet.MeterProbe) and forwards them; the
-// collector's (time, seq) rule makes the merge deterministic regardless of
-// completion order. Shutdown is sequenced builders → pool → finisher →
-// resc, so when resc closes the pool's counters are final.
-func streamPoolScore(st *searchState, keyc <-chan cand, resc chan<- scoredSeq, done <-chan struct{}, poolCtx context.Context, workers int) *maxflow.ProbePool {
-	pool := &maxflow.ProbePool{Workers: workers, Ctx: poolCtx}
-	pool.Start()
-	var bwg, fwg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		bwg.Add(1)
-		go func() {
-			defer bwg.Done()
-			var scratch *flownet.Network
-			for c := range keyc {
-				if evalHook != nil {
-					evalHook()
-				}
-				if s, ok := cacheGet(st, c); ok {
-					select {
-					case resc <- s:
-						continue
-					case <-done:
-						return
-					}
-				}
-				n, err := flownet.BuildReuse(st.m, c.p, st.d, scratch)
-				if err != nil {
-					sp := st.sp.Fork("maxflow-score")
-					sp.SetStr("candidate", c.p.Name)
-					sp.SetStr("error", err.Error())
-					sp.End()
-					st.o.Counter("placement_candidates_infeasible_total").Inc()
-					st.o.Logf("placement: candidate %s infeasible: %v", c.p.Name, err)
-					st.ex.Add(obs.ExplainStep{Seq: c.seq, Stage: "score", Subject: c.p.Name, Reason: "infeasible-build"})
-					s := scoredSeq{Scored: Scored{Placement: c.p, Err: err}, seq: c.seq}
-					cachePut(st, c, s.Scored)
-					select {
-					case resc <- s:
-						continue
-					case <-done:
-						return
-					}
-				}
-				scratch = n
-				if err := pool.Submit(n.Probe(c.seq, c, st.opt.Tolerance)); err != nil {
-					// Pool context canceled: the context AfterFunc (or the
-					// failing stage) already routed the error to fail().
-					return
-				}
-			}
-		}()
-	}
-	fwg.Add(1)
-	go func() {
-		defer fwg.Done()
-		for r := range pool.Results() {
-			c := r.Tag.(cand)
-			sp := st.sp.Fork("maxflow-score")
-			sp.SetStr("candidate", c.p.Name)
-			t, err := flownet.MeterProbe(st.o, st.m.Name, c.p.Name, r)
-			s := scoredSeq{seq: c.seq}
-			s.Placement = c.p
-			if err != nil {
-				sp.SetStr("error", err.Error())
-				s.Err = err
-				if r.Canceled() {
-					st.o.Event(obs.Event{Kind: obs.EvProbeAbort, Name: "probe-abort",
-						Subject: c.p.Name, V1: float64(r.Probes)})
-				} else {
-					st.o.Counter("placement_candidates_infeasible_total").Inc()
-					st.o.Logf("placement: candidate %s unsolvable: %v", c.p.Name, err)
-					st.ex.Add(obs.ExplainStep{Seq: c.seq, Stage: "score", Subject: c.p.Name, Reason: "unsolvable"})
-				}
-			} else {
-				sp.SetFloat("predicted_seconds", t.Sec())
-				s.Time = t
-				st.o.Counter("placement_candidates_scored_total").Inc()
-				st.ex.Add(obs.ExplainStep{Seq: c.seq, Stage: "score", Subject: c.p.Name, Reason: "solved", Value: t.Sec()})
-				st.ex.Add(obs.ExplainStep{Seq: c.seq, Stage: "bisect", Subject: c.p.Name, Reason: "probes", Count: r.Probes})
-				st.ex.Add(obs.ExplainStep{Seq: c.seq, Stage: "bisect", Subject: c.p.Name, Reason: "iterations", Count: r.Iterations})
-			}
-			sp.End()
-			cachePut(st, c, s.Scored)
-			select {
-			case resc <- s:
-			case <-done:
-				return
-			}
-		}
-	}()
-	go func() {
-		bwg.Wait()
-		pool.Close()
-		fwg.Wait()
-		close(resc)
-	}()
-	return pool
+	return err
 }
 
 // Check, when non-nil, audits every Search result before it is returned
@@ -799,57 +553,40 @@ var Check func(m *topology.Machine, d *flownet.Demand, opt Options, res *Result)
 // evaluation (test instrumentation for the concurrency bound).
 var evalHook func()
 
-// cacheGet consults the score cache for candidate c, accounting the hit or
-// miss. It is the shared fast path of every scoring mode (serial, inline
-// streaming, pooled streaming), so hit/miss/scored/infeasible counters are
-// identical across them by construction.
-func cacheGet(st *searchState, c cand) (scoredSeq, bool) {
-	if st.opt.Cache == nil || c.key == "" {
-		return scoredSeq{}, false
-	}
-	s, ok := st.opt.Cache.Get(st.prefix + c.key)
-	if !ok {
-		st.o.Counter("placement_cache_misses_total").Inc()
-		return scoredSeq{}, false
-	}
-	st.o.Counter("placement_cache_hits_total").Inc()
-	out := scoredSeq{seq: c.seq, hit: true}
-	out.Placement = c.p
-	if s.Infeasible {
-		out.Err = errors.New(s.Err)
-		st.o.Counter("placement_candidates_infeasible_total").Inc()
-		st.ex.Add(obs.ExplainStep{Seq: c.seq, Stage: "score", Subject: c.p.Name, Reason: "cache-hit-infeasible"})
-	} else {
-		out.Time = units.Seconds(s.Seconds)
-		st.o.Counter("placement_candidates_scored_total").Inc()
-		st.ex.Add(obs.ExplainStep{Seq: c.seq, Stage: "score", Subject: c.p.Name, Reason: "cache-hit", Value: s.Seconds})
-	}
-	return out, true
-}
-
-// cachePut memoizes a scored candidate unless the result reflects caller
-// cancellation rather than a property of the candidate.
-func cachePut(st *searchState, c cand, s Scored) {
-	if st.opt.Cache == nil || c.key == "" || isCanceled(s.Err) {
-		return
-	}
-	entry := scorecache.Score{Seconds: s.Time.Sec()}
-	if s.Err != nil {
-		entry = scorecache.Score{Infeasible: true, Err: s.Err.Error()}
-	}
-	st.opt.Cache.Put(st.prefix+c.key, entry)
-}
-
-// scoreCached scores one candidate inline, consulting the cache first when
+// scoreCached scores one candidate, consulting the score cache first when
 // the search has one, and returns the (possibly newly built) scratch
 // network for the worker to reuse on its next candidate.
 func scoreCached(st *searchState, c cand, scratch *flownet.Network) (scoredSeq, *flownet.Network) {
-	if out, ok := cacheGet(st, c); ok {
-		return out, scratch
+	useCache := st.opt.Cache != nil && c.key != ""
+	if useCache {
+		if hit, ok := st.opt.Cache.Get(st.prefix + c.key); ok {
+			st.o.Counter("placement_cache_hits_total").Inc()
+			out := scoredSeq{seq: c.seq, hit: true}
+			out.Placement = c.p
+			if hit.Infeasible {
+				out.Err = errors.New(hit.Err)
+				st.o.Counter("placement_candidates_infeasible_total").Inc()
+				st.ex.Add(obs.ExplainStep{Seq: c.seq, Stage: "score", Subject: c.p.Name, Reason: "cache-hit-infeasible"})
+			} else {
+				out.Time = units.Seconds(hit.Seconds)
+				st.o.Counter("placement_candidates_scored_total").Inc()
+				st.ex.Add(obs.ExplainStep{Seq: c.seq, Stage: "score", Subject: c.p.Name, Reason: "cache-hit", Value: hit.Seconds})
+			}
+			return out, scratch
+		}
+		st.o.Counter("placement_cache_misses_total").Inc()
 	}
 	var s Scored
 	s, scratch = score(st, c, scratch)
-	cachePut(st, c, s)
+	// A canceled evaluation reflects the caller, not the candidate: never
+	// memoize it.
+	if useCache && !isCanceled(s.Err) {
+		entry := scorecache.Score{Seconds: s.Time.Sec()}
+		if s.Err != nil {
+			entry = scorecache.Score{Infeasible: true, Err: s.Err.Error()}
+		}
+		st.opt.Cache.Put(st.prefix+c.key, entry)
+	}
 	return scoredSeq{Scored: s, seq: c.seq}, scratch
 }
 
@@ -883,7 +620,9 @@ func score(st *searchState, c cand, scratch *flownet.Network) (Scored, *flownet.
 	probes, iters, _, _ := n.SolveCounters()
 	if err != nil {
 		sp.SetStr("error", err.Error())
-		if !isCanceled(err) {
+		if isCanceled(err) {
+			o.Event(obs.Event{Kind: obs.EvProbeAbort, Name: "probe-abort", Subject: candP.Name, V1: float64(probes)})
+		} else {
 			o.Counter("placement_candidates_infeasible_total").Inc()
 			o.Logf("placement: candidate %s unsolvable: %v", candP.Name, err)
 			st.ex.Add(obs.ExplainStep{Seq: c.seq, Stage: "score", Subject: candP.Name, Reason: "unsolvable"})

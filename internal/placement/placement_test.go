@@ -1,7 +1,9 @@
 package placement
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -66,6 +68,47 @@ func TestEnumerateRespectsSlotCaps(t *testing.T) {
 				t.Fatalf("candidate overfills %s with %d SSDs", at, n)
 			}
 		}
+	}
+}
+
+// TestEnumerateNamesAndFirstCandidate pins Enumerate's naming (cand<i> in
+// enumeration order) and that FirstCandidate returns its first entry
+// without building the rest.
+func TestEnumerateNamesAndFirstCandidate(t *testing.T) {
+	for _, m := range []*topology.Machine{topology.MachineA(), topology.MachineB(),
+		topology.Supermicro420GP(), topology.H3Falcon4016()} {
+		all, err := Enumerate(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range all {
+			if want := fmt.Sprintf("cand%d", i); p.Name != want {
+				t.Fatalf("%s: candidate %d named %q, want %q", m.Name, i, p.Name, want)
+			}
+		}
+		first, err := FirstCandidate(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, all[0]) {
+			t.Errorf("%s: FirstCandidate %v, Enumerate[0] %v", m.Name, first, all[0])
+		}
+	}
+	m := topology.Supermicro420GP()
+	full := testing.AllocsPerRun(3, func() { _, _ = Enumerate(m) })
+	one := testing.AllocsPerRun(3, func() { _, _ = FirstCandidate(m) })
+	if one*10 > full {
+		t.Errorf("FirstCandidate allocates %.0f times, Enumerate %.0f: it builds more than one candidate", one, full)
+	}
+	bad := topology.MachineA()
+	bad.Points = nil
+	if _, err := FirstCandidate(bad); err == nil {
+		t.Error("invalid machine accepted")
+	}
+	full4 := topology.MachineA()
+	full4.NumGPUs = 99
+	if _, err := FirstCandidate(full4); err == nil {
+		t.Error("machine with more GPUs than slots yielded a candidate")
 	}
 }
 
@@ -321,111 +364,6 @@ func TestSearchInfeasible(t *testing.T) {
 	if _, err := Search(m, d, Options{}); err == nil {
 		t.Fatal("expected search failure")
 	}
-}
-
-func TestLocalSearchMatchesExhaustiveOnAB(t *testing.T) {
-	for _, mk := range []func() *topology.Machine{topology.MachineA, topology.MachineB} {
-		m := mk()
-		d := demand(4)
-		exact, err := Search(m, d, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ls, err := LocalSearch(m, d, LocalSearchOptions{Seed: 11})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rel := (ls.Time - exact.Time).Sec() / exact.Time.Sec()
-		if rel > 0.01 {
-			t.Errorf("machine %s: local search %.3fs vs exhaustive %.3fs (%.1f%% worse)",
-				m.Name, ls.Time.Sec(), exact.Time.Sec(), rel*100)
-		}
-		if err := ls.Best.Validate(m); err != nil {
-			t.Errorf("machine %s: invalid local-search placement: %v", m.Name, err)
-		}
-	}
-}
-
-func TestLocalSearchHandlesLargeChassis(t *testing.T) {
-	// A chassis with many slots: exhaustive enumeration would be large,
-	// local search stays bounded.
-	m := &topology.Machine{
-		Name: "big",
-		Points: []topology.AttachPoint{
-			{ID: "rc0", Kind: topology.RootComplex, Bays: 8, GPUSlots: 2},
-			{ID: "rc1", Kind: topology.RootComplex, Bays: 8, GPUSlots: 2},
-			{ID: "sw0", Kind: topology.Switch, Parent: "rc0", UplinkBW: topology.PCIe4x16, Bays: 4, GPUSlots: 4},
-			{ID: "sw1", Kind: topology.Switch, Parent: "rc0", UplinkBW: topology.PCIe4x16, Bays: 4, GPUSlots: 4},
-			{ID: "sw2", Kind: topology.Switch, Parent: "rc1", UplinkBW: topology.PCIe4x16, Bays: 4, GPUSlots: 4},
-			{ID: "sw3", Kind: topology.Switch, Parent: "rc1", UplinkBW: topology.PCIe4x16, Bays: 4, GPUSlots: 4},
-		},
-		QPIBW:         topology.QPIRate,
-		DRAMPerSocket: 256 << 30,
-		DRAMBW:        topology.DRAMServeBW,
-		NumGPUs:       8,
-		NumSSDs:       16,
-		GPUMemory:     40 << 30,
-		GPUCacheFrac:  0.15,
-		SSDCapacity:   3840e9,
-		SSDBW:         topology.P5510BW,
-		SSDIOPS:       930000,
-		PCIeX16:       topology.PCIe4x16,
-		PCIeX4:        topology.PCIe4x4,
-		NumNodes:      1,
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	per := make([]float64, 8)
-	hbm := make([]float64, 8)
-	for i := range per {
-		per[i] = 100 * gb
-		hbm[i] = 10 * gb
-	}
-	d := &flownet.Demand{
-		PerGPU:   per,
-		HBMPeer:  hbm,
-		DRAM:     map[string]float64{"rc0": 25 * gb, "rc1": 25 * gb},
-		SSDTotal: 800*gb - 50*gb - 80*gb,
-	}
-	res, err := LocalSearch(m, d, LocalSearchOptions{Seed: 5, Restarts: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Time <= 0 {
-		t.Fatalf("bad result %+v", res)
-	}
-	// Must beat a naive packed placement.
-	packed := &topology.Placement{
-		GPUAt: fill(fill(nil, "sw0", 4), "sw1", 4),
-		SSDAt: fill(fill(nil, "rc0", 8), "rc1", 8),
-	}
-	n, err := flownet.Build(m, packed, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := n.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Time.Sec() > pt.Sec()*1.001 {
-		t.Errorf("local search %.3fs worse than naive packed %.3fs", res.Time.Sec(), pt.Sec())
-	}
-}
-
-func TestLocalSearchErrors(t *testing.T) {
-	bad := topology.MachineA()
-	bad.Points = nil
-	if _, err := LocalSearch(bad, demand(4), LocalSearchOptions{}); err == nil {
-		t.Error("invalid machine accepted")
-	}
-}
-
-func fill(s []string, id string, n int) []string {
-	for i := 0; i < n; i++ {
-		s = append(s, id)
-	}
-	return s
 }
 
 func TestSearchAdaptsToDegradedQPI(t *testing.T) {

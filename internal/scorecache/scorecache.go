@@ -1,13 +1,12 @@
 // Package scorecache is a bounded, concurrency-safe LRU used to memoize
 // expensive planner evaluations: max-flow placement scores keyed by
-// canonical placement key (placement.Search, placement.LocalSearch) and
-// DDAK layouts keyed by (hotness, bins) fingerprints (adaptive.Replanner).
+// canonical placement key (placement.Search) and DDAK layouts keyed by
+// (hotness, bins) fingerprints (adaptive.Replanner).
 //
-// The planner revisits equivalent configurations constantly — local-search
-// restarts walk back through earlier placements, fault-triggered replans
-// re-bin into previously seen capacity sets, and repeated Search calls over
-// the same machine/demand re-score identical symmetry classes — so a small
-// cache converts re-solves into hash lookups.
+// The planner revisits equivalent configurations constantly — fault-
+// triggered replans re-bin into previously seen capacity sets, and repeated
+// Search calls over the same machine/demand re-score identical symmetry
+// classes — so a small cache converts re-solves into hash lookups.
 //
 // Like the obs package, a nil *Cache is a valid, fully disabled cache: every
 // method no-ops (Get always misses), so call sites thread an optional cache
@@ -214,7 +213,7 @@ type Score struct {
 }
 
 // Scores is the concrete cache the placement planner threads through
-// Search, LocalSearch, and replans: canonical-key strings to Score.
+// Search and replans: canonical-key strings to Score.
 type Scores = Cache[string, Score]
 
 // NewScores returns a Score LRU with the given bound (<=0 disables).

@@ -6,11 +6,12 @@
 //
 // Explain runs are deliberately isolated from the serving fast paths:
 //
-//   - Serial search, no score cache, no plan cache. A cache hit would
-//     change the trail depending on what other tenants planned before, and
-//     a parallel search interleaves nondeterministically; byte-determinism
-//     for a fixed request is the endpoint's contract (golden-testable,
-//     diffable across deploys).
+//   - No score cache, no plan cache. A cache hit would change the trail
+//     depending on what other tenants planned before; byte-determinism for
+//     a fixed request is the endpoint's contract (golden-testable, diffable
+//     across deploys). The search itself runs at its usual parallelism:
+//     steps carry enumeration indexes and the trail keeps its canonically
+//     smallest steps when it overflows, so worker scheduling never shows.
 //   - Bounded by its own semaphore (sized off Workers) instead of the
 //     admission queue: explain is a forensic/debug surface and must not
 //     compete with production planning for queue slots, but also must not
@@ -100,7 +101,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Workload: cr.wl,
 		Search: placement.Options{
 			Tolerance: cr.tol,
-			Serial:    true,
 			Explain:   ex,
 			Ctx:       ctx,
 		},

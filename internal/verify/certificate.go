@@ -71,8 +71,7 @@ func CheckFlow(g *maxflow.Graph, s, t int) (*Certificate, error) {
 		}
 		scale := c
 		if math.IsInf(c, 1) {
-			// Infinite arcs see transients up to the total finite capacity
-			// (push–relabel saturates them with exactly that bound), so
+			// Infinite arcs can carry up to the total finite capacity, so
 			// their flow readings carry noise at that magnitude.
 			scale = totalCap
 		} else if f > c+tol(c) {

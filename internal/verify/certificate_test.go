@@ -24,26 +24,35 @@ func clrs26() (*maxflow.Graph, int, int, float64) {
 	return g, s, t, 23
 }
 
+// TestCheckFlowCertifiesAllSolvers certifies the solver's flow on the
+// CLRS network, both cold (MaxFlow) and warm-continued (Augment after a
+// capacity raise).
 func TestCheckFlowCertifiesAllSolvers(t *testing.T) {
-	for _, sv := range []maxflow.Solver{maxflow.Dinic, maxflow.EdmondsKarp, maxflow.PushRelabel} {
+	for _, warm := range []bool{false, true} {
 		g, s, sink, want := clrs26()
-		v := g.MaxFlow(s, sink, sv)
+		v := g.MaxFlow(s, sink)
+		if warm {
+			e := g.AddEdge(s, sink, 0)
+			g.RaiseCapacity(e, 5)
+			v += g.Augment(s, sink)
+			want += 5
+		}
 		cert, err := CheckFlow(g, s, sink)
 		if err != nil {
-			t.Fatalf("%v: %v", sv, err)
+			t.Fatalf("warm=%v: %v", warm, err)
 		}
 		if math.Abs(cert.Value-want) > 1e-9 || math.Abs(v-want) > 1e-9 {
-			t.Errorf("%v: certified %v, solver %v, want %v", sv, cert.Value, v, want)
+			t.Errorf("warm=%v: certified %v, solver %v, want %v", warm, cert.Value, v, want)
 		}
 		if len(cert.CutEdges) == 0 || !cert.SourceSide[s] || cert.SourceSide[sink] {
-			t.Errorf("%v: malformed certificate %+v", sv, cert)
+			t.Errorf("warm=%v: malformed certificate %+v", warm, cert)
 		}
 	}
 }
 
 func TestCheckFlowDetectsNonMaximalFlow(t *testing.T) {
 	g, s, sink, _ := clrs26()
-	g.MaxFlow(s, sink, maxflow.Dinic)
+	g.MaxFlow(s, sink)
 	// A fresh bypass edge reopens an augmenting path: the recorded flow is
 	// still feasible but no longer maximum, so the duality check must fail.
 	g.AddEdge(s, sink, 5)
@@ -58,7 +67,7 @@ func TestCheckFlowDetectsConservationViolation(t *testing.T) {
 	g := maxflow.New(3)
 	e1 := g.AddEdge(0, 1, 10)
 	g.AddEdge(1, 2, 10)
-	g.MaxFlow(0, 2, maxflow.Dinic)
+	g.MaxFlow(0, 2)
 	// Clearing flow on only the first hop strands 10 units at node 1.
 	g.SetCapacity(e1, 10)
 	if _, err := CheckFlow(g, 0, 2); err == nil {
@@ -73,7 +82,7 @@ func TestCheckFlowZeroFlow(t *testing.T) {
 	g := maxflow.New(4)
 	g.AddEdge(0, 1, 5)
 	g.AddEdge(2, 3, 5)
-	g.MaxFlow(0, 3, maxflow.Dinic)
+	g.MaxFlow(0, 3)
 	cert, err := CheckFlow(g, 0, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +98,7 @@ func TestCheckFlowInfiniteVirtualArcs(t *testing.T) {
 	g.AddEdge(0, 1, maxflow.Inf)
 	g.AddEdge(1, 2, 7)
 	g.AddEdge(2, 3, maxflow.Inf)
-	v := g.MaxFlow(0, 3, maxflow.Dinic)
+	v := g.MaxFlow(0, 3)
 	cert, err := CheckFlow(g, 0, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +110,7 @@ func TestCheckFlowInfiniteVirtualArcs(t *testing.T) {
 
 func TestCheckDecomposeRoundTrip(t *testing.T) {
 	g, s, sink, want := clrs26()
-	v := g.MaxFlow(s, sink, maxflow.Dinic)
+	v := g.MaxFlow(s, sink)
 	if err := CheckDecompose(g, s, sink, v); err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,6 @@
 //   - CheckFlow / CheckDecompose certify a solved maxflow.Graph: per-node
 //     conservation, capacity respect under Eps semantics, and the
 //     max-flow = min-cut duality certificate.
-//   - RandomNetwork / CheckDifferential form a deterministic seeded fuzzer
-//     that cross-checks Dinic, Edmonds–Karp, and push–relabel against each
-//     other and against their certificates.
 //   - CheckNetwork, CheckAssignment, CheckItemAssignment, CheckSearchResult,
 //     and CheckSearchDeterminism audit the planner-facing invariants of
 //     flownet, ddak, and placement.

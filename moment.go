@@ -221,36 +221,6 @@ type BenchRecord = experiments.BenchRecord
 // record per configuration.
 func BenchRecords() ([]BenchRecord, error) { return experiments.BenchRecords() }
 
-// FleetSweepRecord benchmarks the fleet placement-sweep harness: nodes
-// planned cold and serially (baseline) versus through one shared score
-// cache with the pooled streaming search, as the "sweep" bench row.
-func FleetSweepRecord(nodes int) (BenchRecord, error) {
-	return experiments.FleetSweepRecord(nodes)
-}
-
-// LongSimRecord benchmarks the long-horizon simulation harness: a
-// fault-injected multi-epoch run re-simulated in full every epoch
-// (baseline) versus the fault-signature delta cache, as the "longsim"
-// bench row.
-func LongSimRecord(epochs int) (BenchRecord, error) {
-	return experiments.LongSimRecord(epochs)
-}
-
-// DriftBenchRecord benchmarks the closed adaptive loop over a long
-// drifting horizon against the from-scratch replanning oracle, as the
-// "drift" bench row. It errors if the acceptance differential fails:
-// adaptive mean epoch within 5% of the oracle's on under half its
-// migrated bytes.
-func DriftBenchRecord(epochs int) (BenchRecord, error) {
-	return experiments.DriftRecord(epochs)
-}
-
-// ObsBenchRecord measures the observability hot paths (flight-recorder
-// Record, explain Add) with testing.AllocsPerRun and reports them as the
-// "obs" bench row. The disabled paths must measure exactly zero
-// allocations per call.
-func ObsBenchRecord() BenchRecord { return experiments.ObsRecord() }
-
 // CompareReport is a per-experiment diff of two benchmark record sets.
 type CompareReport = experiments.CompareReport
 
