@@ -12,7 +12,7 @@
 // over NIC bandwidth, non-blocking core switch). The flow mode (Config.Flow)
 // promotes the whole cluster to the flow network: flownet.BuildCluster
 // instantiates every node's PCIe tree and the hierarchical NIC→leaf→spine
-// fabric in one graph, so a single time-bisection prices intra-PCIe and
+// fabric in one graph, so a single max-flow horizon prices intra-PCIe and
 // cross-node traffic together — and prices what the analytical mode cannot:
 // oversubscribed leaf/spine cores and NIC↔PCIe contention
 // (Config.NICOnGPUSocket). On a non-blocking core with a detached NIC the

@@ -1,8 +1,8 @@
 // Package core is Moment's automatic module (paper §3.1, Fig 8): given a
 // machine's communication topology, a GNN workload, and a dataset, it
 // (1) profiles hardware bandwidths, (2) formulates the augmented
-// communication graph and searches hardware placements by time-bisection
-// max-flow with isomorphic symmetry reduction, (3) runs the
+// communication graph and searches hardware placements by their minimum
+// max-flow horizon with isomorphic symmetry reduction, (3) runs the
 // data-distribution-aware knapsack to lay out embeddings across the
 // GPU/CPU/SSD hierarchy, and (4) reports the predicted and simulated
 // training performance of the chosen configuration. This is the offline

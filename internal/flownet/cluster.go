@@ -2,8 +2,8 @@
 // graph. Every node's PCIe tree is instantiated as a full single-machine
 // subgraph (same node classes, name-prefixed), and the inter-server network
 // joins them as capacity-bounded units — NIC→leaf→spine→leaf→NIC — so one
-// time-bisection prices intra-PCIe and cross-node traffic together instead
-// of composing two models.
+// minimum-horizon solve prices intra-PCIe and cross-node traffic together
+// instead of composing two models.
 //
 // Cross-node traffic is kept truthful with a portal formulation instead of
 // flow lower bounds: each node's per-epoch import bytes are a fixed-budget
@@ -348,11 +348,12 @@ func (cn *ClusterNetwork) addNodeSub(m *topology.Machine, p *topology.Placement,
 	return sub, nil
 }
 
-// Solve runs the time-bisection over the whole cluster and returns the
-// minimum horizon that routes every local demand and every import.
+// Solve runs the minimum-horizon search over the whole cluster and returns
+// the minimum horizon that routes every local demand and every import.
 func (cn *ClusterNetwork) Solve() (units.Duration, error) { return cn.SolveTol(1e-4) }
 
-// SolveTol is Solve with an explicit relative bisection tolerance.
+// SolveTol is Solve with an explicit relative tolerance (see
+// Network.SolveTol).
 func (cn *ClusterNetwork) SolveTol(tol float64) (units.Duration, error) {
 	t, err := cn.bis.MinTime(tol)
 	if err != nil {

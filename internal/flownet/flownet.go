@@ -1,7 +1,8 @@
 // Package flownet converts a physical topology plus a hardware placement
 // into the augmented single-source single-sink capacity-constrained directed
 // graph of paper §3.2, and answers the questions Moment's planner asks of
-// it: the minimum epoch I/O completion time (via time-bisection max-flow),
+// it: the minimum epoch I/O completion time (the shortest horizon at which
+// one max-flow routes the demand, maxflow.TimeBisector.MinTime),
 // per-GPU inlet bandwidth, per-storage-bin traffic (DDAK's Bin_traffic
 // input), and per-link utilization (QPI contention analysis, Fig 17).
 //
@@ -9,9 +10,9 @@
 // feature caches, per-GPU HBM caches serving peers), interconnect nodes
 // (root complexes and PCIe switches), computation nodes (GPUs), and the
 // virtual source/sink. Physical links are rate edges (bytes/second, scaled
-// by the bisection horizon); virtual source/sink arcs are fixed byte
-// budgets. PCIe and QPI are full duplex, so each physical link contributes
-// one directed edge per direction with independent capacity.
+// by the horizon); virtual source/sink arcs are fixed byte budgets. PCIe
+// and QPI are full duplex, so each physical link contributes one directed
+// edge per direction with independent capacity.
 //
 // Local HBM cache hits never touch the fabric, so callers subtract them
 // from per-GPU demand before building a Demand; only the peer-served share
@@ -370,9 +371,8 @@ func (n *Network) trackLink(name string, rate float64, edges ...maxflow.EdgeID) 
 // fault-triggered re-bins). The new demand must be structurally compatible
 // with the network: same GPU/SSD counts, same HBMPeer and SSDPer nil-ness
 // (those toggle nodes, not budgets), and DRAM budgets only on sockets the
-// machine has. Rate increases since the last solve keep the bisector's
-// warm start valid; budget decreases are self-detected and force a cold
-// probe (see TimeBisector.SetFixed). The network is left unsolved.
+// machine has. The next Solve starts cold, as every solve does, so no
+// warm flow outlives the old budgets. The network is left unsolved.
 func (n *Network) PatchDemand(d *Demand) error {
 	m := n.Machine
 	if len(d.PerGPU) != m.NumGPUs {
@@ -447,25 +447,26 @@ func (n *Network) PatchDemand(d *Demand) error {
 // than imported so flownet does not depend on the verification subsystem.
 var Check func(*Network) error
 
-// Solve runs the time-bisection and returns the minimum time to deliver all
-// per-GPU demand. The flow for that horizon stays on the graph for the
-// metric accessors below.
+// Solve runs the minimum-horizon search and returns the minimum time to
+// deliver all per-GPU demand. The flow for that horizon stays on the graph
+// for the metric accessors below.
 func (n *Network) Solve() (units.Duration, error) {
 	return n.SolveTol(1e-4)
 }
 
 // SetObserver attaches an observer so each Solve reports solver work
-// (augmenting paths, bisection iterations, wall time). Nil detaches.
+// (augmenting paths, Newton steps and probes, wall time). Nil detaches.
 func (n *Network) SetObserver(o *obs.Observer) { n.obsrv = o }
 
 // SetContext attaches a cancellation context to subsequent Solves: an
 // abandoned caller (e.g. a disconnected planning request) stops the
-// bisection at the next probe instead of running it to completion. Nil
+// search at the next probe instead of running it to completion. Nil
 // detaches; BuildReuse detaches automatically (via TimeBisector.Reinit), so
 // a recycled scratch network never inherits a stale context.
 func (n *Network) SetContext(ctx context.Context) { n.bis.Ctx = ctx }
 
-// SolveTol is Solve with an explicit relative bisection tolerance.
+// SolveTol is Solve with an explicit relative tolerance: the answer is a
+// feasible horizon at most (1+tol) times the exact minimum.
 func (n *Network) SolveTol(tol float64) (units.Duration, error) {
 	o := n.obsrv
 	var before maxflow.SolveStats
@@ -504,10 +505,10 @@ func (n *Network) SolveTol(tol float64) (units.Duration, error) {
 	return units.Seconds(t), nil
 }
 
-// SolveCounters reports the bisection work of the most recent solve:
-// Probes and Iterations cover that solve alone (the bisector resets them per
-// MinTime), while WarmStarts and WarmAborts accumulate across the network's
-// lifetime.
+// SolveCounters reports the solver work of the most recent solve: Probes
+// (max-flow solves) and Iterations (Newton steps) cover that solve alone
+// (the bisector resets them per MinTime), while WarmStarts and WarmAborts
+// accumulate across the network's lifetime.
 func (n *Network) SolveCounters() (probes, iterations, warmStarts, warmAborts int) {
 	return n.bis.Probes, n.bis.Iterations, n.bis.WarmStarts, n.bis.WarmAborts
 }

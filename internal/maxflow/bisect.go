@@ -13,7 +13,8 @@ var ErrInfeasible = errors.New("maxflow: demand unsatisfiable at any horizon")
 
 // TimeBisector estimates the minimum wall-clock time T at which a set of
 // byte demands can be routed through a bandwidth-constrained network —
-// the paper's "time-bisection Ford–Fulkerson" (§3.2, Problem Solving).
+// the quantity the paper's "time-bisection Ford–Fulkerson" searches for
+// (§3.2, Problem Solving).
 //
 // Edge capacities come in two flavors:
 //   - rate edges: physical links whose capacity is a bandwidth; at horizon T
@@ -22,7 +23,8 @@ var ErrInfeasible = errors.New("maxflow: demand unsatisfiable at any horizon")
 //     the sink, or per-storage supply arcs out of the source).
 //
 // Feasible(T) asks whether max-flow at horizon T moves all Demand bytes;
-// MinTime binary-searches the smallest such T.
+// MinTime finds the smallest such T exactly, by Newton steps on the
+// min-cut line rather than by bisection (see MinTime).
 type TimeBisector struct {
 	G      *Graph
 	S, T   int
@@ -35,7 +37,7 @@ type TimeBisector struct {
 	// the graph and only augment the difference.
 	DisableWarmStart bool
 
-	// Ctx, when non-nil, lets an abandoned caller stop a bisection early:
+	// Ctx, when non-nil, lets an abandoned caller stop a search early:
 	// MinTime checks it before every probe and returns the context's error
 	// once it is done. Probe granularity keeps the check off the inner
 	// augmenting-path loop — a single max-flow solve on these networks is
@@ -48,9 +50,9 @@ type TimeBisector struct {
 	fixedEdges []EdgeID
 	fixed      []float64
 
-	// Probes counts Feasible evaluations (each one max-flow solve) and
-	// Iterations counts halving steps of the bisection loop, excluding the
-	// doubling phase; both reset at the start of each MinTime. Plain ints:
+	// Probes counts Feasible evaluations (each one max-flow solve, the
+	// horizon-0 solve included) and Iterations counts MinTime's Newton
+	// steps; both reset at the start of each MinTime. Plain ints:
 	// bisectors are not shared across goroutines, and callers report them
 	// to an observer after the solve rather than paying atomics inside it.
 	Probes     int
@@ -79,9 +81,16 @@ type TimeBisector struct {
 	warmFlow float64
 	warmOK   bool
 	warmGen  uint64
+
+	// Min-cut scratch for MinTime, reused across solves: rateOf holds each
+	// forward edge's registered rate (indexed by id/2, -1 for edges that
+	// are not rate edges), side and queue the residual BFS of cutLine.
+	rateOf []float64
+	side   []bool
+	queue  []int
 }
 
-// NewTimeBisector wraps g for bisection between terminals s and t.
+// NewTimeBisector wraps g for the horizon search between terminals s and t.
 func NewTimeBisector(g *Graph, s, t int, demand float64) *TimeBisector {
 	return &TimeBisector{G: g, S: s, T: t, Demand: demand}
 }
@@ -226,7 +235,8 @@ func (b *TimeBisector) patch(t float64) {
 }
 
 // Feasible reports whether all demand can be delivered within horizon t,
-// leaving the corresponding flow on the graph.
+// leaving the corresponding flow on the graph. A horizon at or below zero
+// probes horizon 0, where finite-rate edges carry nothing.
 //
 // When the horizon is at or above the last solved one and no capacity
 // shrank in between, the probe warm-starts: capacities are raised in place
@@ -242,16 +252,7 @@ func (b *TimeBisector) Feasible(t float64) bool {
 		// fine — it is simply stale state, discarded before it can lie.
 		b.warmOK = false
 	}
-	if t <= 0 {
-		// Nothing moves at a zero horizon. Still apply the horizon-0
-		// capacities and clear any flow so callers reading Flow() or
-		// Capacity() afterwards don't see stale state from an earlier
-		// probe at a different horizon.
-		b.apply(0)
-		b.G.Reset()
-		b.warmOK = false
-		return b.Demand <= Eps
-	}
+	t = math.Max(t, 0)
 	var flow float64
 	switch {
 	case !b.DisableWarmStart && b.warmOK && t >= b.warmT && b.monotone(t):
@@ -291,71 +292,106 @@ func (b *TimeBisector) canceled() error {
 	}
 }
 
-// MinTime returns the smallest horizon (within relative tolerance tol, e.g.
-// 1e-4) at which the demand is feasible. It doubles an initial guess until
-// feasible (up to maxDoublings), then bisects. On return the graph holds a
-// feasible flow for the reported horizon.
+// maxNewtonSteps bounds MinTime's search. Each step moves to a cut of
+// strictly smaller rate, so the count is at most the number of linear
+// pieces of the max-flow curve; planner networks need two to four.
+const maxNewtonSteps = 64
+
+// MinTime returns the smallest horizon at which the demand is feasible,
+// leaving a feasible flow for it on the graph.
+//
+// The max-flow at horizon T is f(T) = min over s–t cuts C of R(C)·T + F(C),
+// where R sums the rates of C's rate edges and F its byte budgets and
+// unregistered capacities: f is concave and piecewise linear. MinTime
+// solves cold at horizon 0, reads the minimum cut off the residual graph,
+// steps to the horizon (Demand−F)/R where that cut's line meets the demand,
+// and repeats until a probe is feasible — Newton's method on f (Dinkelbach's
+// method for ratio problems). Every cut's line lies on or above f, so no
+// step passes the true minimum T*; the horizon only grows, so each probe
+// after the first continues the previous flow warm. The first feasible
+// probe is T* to within Feasible's acceptance slack. A cut with R = 0 is
+// made of byte budgets alone and carries less than the demand at every
+// horizon: ErrInfeasible.
+//
+// tol only bounds the answer: MinTime returns a feasible T ≤ T*·(1+tol).
+// It is spent where a step fails to raise the horizon (float cancellation,
+// or the solver's Eps, on tiny demands), which instead advances the
+// horizon by the factor (1+tol).
 func (b *TimeBisector) MinTime(tol float64) (float64, error) {
 	b.Probes, b.Iterations = 0, 0
 	if err := b.canceled(); err != nil {
 		return 0, err
 	}
-	if b.Demand <= Eps {
-		// Same hygiene as Feasible(0): leave the graph in the consistent
-		// zero-horizon state rather than whatever a previous probe wrote.
-		b.apply(0)
-		b.G.Reset()
-		b.warmOK = false
-		return 0, nil
-	}
 	if tol <= 0 {
 		tol = 1e-4
 	}
-	// Initial guess: demand over the sum of source-side rates, a lower
-	// bound on the completion time if the source edges are the bottleneck.
-	rateSum := 0.0
-	for _, r := range b.rates {
-		if !math.IsInf(r, 1) {
-			rateSum += r
+	b.markRates()
+	b.warmOK = false // every solve starts cold at horizon 0
+	t := 0.0
+	for !b.Feasible(t) {
+		if b.Iterations == maxNewtonSteps {
+			return 0, fmt.Errorf("maxflow: minimum horizon did not converge in %d Newton steps", maxNewtonSteps)
 		}
-	}
-	lo := 0.0
-	hi := 1.0
-	if rateSum > 0 {
-		hi = b.Demand / rateSum * 2
-		if hi <= 0 {
-			hi = 1
+		r, f := b.cutLine()
+		next := (b.Demand - f) / r
+		if r <= 0 || math.IsInf(next, 1) {
+			// Byte budgets alone, or rates too small to matter at any
+			// finite horizon, cap this cut below the demand.
+			return 0, ErrInfeasible
 		}
-	}
-	const maxDoublings = 80
-	d := 0
-	for ; d < maxDoublings && !b.Feasible(hi); d++ {
-		if err := b.canceled(); err != nil {
-			return 0, err
+		if !(next > t) {
+			// From horizon 0 the factor cannot move; step by the horizon
+			// at which this cut gains Feasible's slack instead.
+			next = math.Max(t*(1+tol), t+relEps(b.Demand)/r)
 		}
-		lo = hi
-		hi *= 2
-	}
-	if d == maxDoublings {
-		return 0, ErrInfeasible
-	}
-	for hi-lo > tol*hi {
 		if err := b.canceled(); err != nil {
 			return 0, err
 		}
 		b.Iterations++
-		mid := (lo + hi) / 2
-		if b.Feasible(mid) {
-			hi = mid
+		t = next
+	}
+	return t, nil
+}
+
+// markRates indexes the registered rates by forward edge for cutLine.
+func (b *TimeBisector) markRates() {
+	m := len(b.G.to) / 2
+	if cap(b.rateOf) < m {
+		b.rateOf = make([]float64, m)
+	}
+	b.rateOf = b.rateOf[:m]
+	for i := range b.rateOf {
+		b.rateOf[i] = -1
+	}
+	for i, e := range b.rateEdges {
+		b.rateOf[e>>1] = b.rates[i]
+	}
+}
+
+// cutLine reads the minimum cut of the flow on the graph, with MinCut's
+// source side (residualReach), and returns its line: at horizon T the cut
+// carries r·T + f bytes, r summing the rates of its rate edges and f the
+// capacities of its other edges.
+func (b *TimeBisector) cutLine() (r, f float64) {
+	g := b.G
+	if cap(b.side) < g.n {
+		b.side = make([]bool, g.n)
+		b.queue = make([]int, 0, g.n)
+	}
+	side := b.side[:g.n]
+	clear(side)
+	g.residualReach(b.S, side, b.queue)
+	for e := 0; e < len(g.to); e += 2 {
+		if !side[g.to[e^1]] || side[g.to[e]] {
+			continue
+		}
+		if rate := b.rateOf[e>>1]; rate >= 0 {
+			r += rate
 		} else {
-			lo = mid
+			f += g.cap[e]
 		}
 	}
-	// Leave a feasible flow on the graph for the reported horizon.
-	if !b.Feasible(hi) {
-		return 0, ErrInfeasible
-	}
-	return hi, nil
+	return r, f
 }
 
 // Throughput returns demand/minTime in bytes/second, the aggregate delivery

@@ -1,6 +1,7 @@
 package maxflow
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -223,5 +224,148 @@ func TestBisectorZeroHorizonClearsStaleState(t *testing.T) {
 	}
 	if f := g.Flow(e1); f != 0 {
 		t.Errorf("flow %v after zero-demand probe, want 0", f)
+	}
+}
+
+// randomBisector turns randomNetwork(seed) into a horizon problem: each
+// edge becomes a rate edge (its capacity in bytes/second) or a byte budget
+// of ten times its capacity, and the demand is a random fraction, up to
+// 1.2, of the flow the network carries at horizon 1000 — so some instances
+// fit at horizon 0 and some at no horizon. It also returns the smallest
+// registered rate.
+func randomBisector(seed int64) (b *TimeBisector, minRate float64) {
+	r := rand.New(rand.NewSource(seed))
+	g, s, sink := randomNetwork(r)
+	b = NewTimeBisector(g, s, sink, 0)
+	late := g.Clone()
+	minRate = Inf
+	for e := EdgeID(0); int(e) < 2*g.M(); e += 2 {
+		c := g.Capacity(e)
+		if r.Intn(2) == 0 {
+			b.AddRateEdge(e, c)
+			late.SetCapacity(e, 1000*c)
+			minRate = math.Min(minRate, c)
+		} else {
+			b.AddFixedEdge(e, 10*c)
+			late.SetCapacity(e, 10*c)
+		}
+	}
+	b.Demand = late.MaxFlow(s, sink) * 1.2 * r.Float64()
+	return b, minRate
+}
+
+// TestMinTimeMatchesBisectionOracle is the Newton search's differential
+// against a cold bisection oracle on the random-network suite: the same
+// ErrInfeasible verdicts, and Newton's T ≤ the oracle's ≤ T/(1−tol). The
+// first bound is slackened by the horizon Feasible's byte slack buys on
+// the slowest rate edge; the second is the bisection bracket's width.
+func TestMinTimeMatchesBisectionOracle(t *testing.T) {
+	verdicts := map[string]int{}
+	for seed := int64(0); seed < 400; seed++ {
+		for _, tol := range []float64{1e-4, 1e-6} {
+			b, minRate := randomBisector(seed)
+			oracle, _ := randomBisector(seed)
+			oracle.DisableWarmStart = true
+			tn, errN := b.MinTime(tol)
+			to, errO := bisectMinTime(oracle, tol)
+			if errors.Is(errN, ErrInfeasible) != errors.Is(errO, ErrInfeasible) || (errN == nil) != (errO == nil) {
+				t.Fatalf("seed %d tol %g: Newton err %v, oracle err %v", seed, tol, errN, errO)
+			}
+			switch {
+			case errN != nil:
+				verdicts["infeasible"]++
+				continue
+			case tn == 0:
+				verdicts["zero-horizon"]++
+			default:
+				verdicts["positive"]++
+			}
+			slack := relEps(b.Demand) / minRate
+			if tn > to+slack || to*(1-tol) > tn+slack {
+				t.Fatalf("seed %d tol %g: Newton %.12g, oracle %.12g (demand %g)", seed, tol, tn, to, b.Demand)
+			}
+		}
+	}
+	// The suite must reach every branch, or it proves less than it says.
+	for _, v := range []string{"infeasible", "zero-horizon", "positive"} {
+		if verdicts[v] == 0 {
+			t.Errorf("no %s instance in the suite: %v", v, verdicts)
+		}
+	}
+}
+
+// Regression: a demand that fits at horizon 0 (a byte budget feeding an
+// unbounded rate edge) sent bisection's upper end down into the
+// subnormals, where the midpoint rounds to zero and the loop never ended.
+// MinTime answers 0 and leaves the horizon-0 flow on the graph.
+func TestMinTimeFitsAtZeroHorizon(t *testing.T) {
+	g := New(3)
+	budget := g.AddEdge(0, 1, 0)
+	link := g.AddEdge(1, 2, 0)
+	b := NewTimeBisector(g, 0, 2, 5)
+	b.AddFixedEdge(budget, 10)
+	b.AddRateEdge(link, Inf)
+	got, err := b.MinTime(1e-4)
+	if err != nil || got != 0 {
+		t.Fatalf("MinTime = (%v, %v), want (0, nil)", got, err)
+	}
+	if f := g.Flow(link); f < b.Demand {
+		t.Fatalf("flow %v on the graph, want at least the demand %v", f, b.Demand)
+	}
+}
+
+// A byte budget below the demand caps the flow at every horizon. The cut
+// made of that budget alone has rate 0 and certifies ErrInfeasible on the
+// second probe, where the bisection oracle gives up after 80 doublings.
+func TestMinTimeBudgetCutInfeasible(t *testing.T) {
+	g := New(3)
+	budget := g.AddEdge(0, 1, 0)
+	link := g.AddEdge(1, 2, 0)
+	b := NewTimeBisector(g, 0, 2, 5)
+	b.AddFixedEdge(budget, 4)
+	b.AddRateEdge(link, 1)
+	if _, err := b.MinTime(1e-4); !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("MinTime err = %v, want ErrInfeasible", err)
+	}
+	if b.Probes > 2 {
+		t.Fatalf("%d probes to prove infeasibility, want at most 2", b.Probes)
+	}
+}
+
+// TestSolveAllocs pins the solver's steady state at zero allocations: a
+// cold MaxFlow on a 60-node, 400-edge graph, a warm Feasible probe, and a
+// whole MinTime once its scratch has grown.
+func TestSolveAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(60))
+	g := New(60)
+	for g.M() < 400 {
+		if u, v := r.Intn(60), r.Intn(60); u != v {
+			g.AddEdge(u, v, float64(1+r.Intn(50)))
+		}
+	}
+	g.MaxFlow(0, 59)
+	if avg := testing.AllocsPerRun(100, func() { g.MaxFlow(0, 59) }); avg != 0 {
+		t.Errorf("MaxFlow allocates %.1f times per solve, want 0", avg)
+	}
+
+	w := buildWarmNet(1, false)
+	h := 1.0
+	w.bis.Feasible(h)
+	starts := w.bis.WarmStarts
+	if avg := testing.AllocsPerRun(100, func() {
+		h *= 1.01
+		w.bis.Feasible(h)
+	}); avg != 0 {
+		t.Errorf("warm Feasible allocates %.1f times per probe, want 0", avg)
+	}
+	if w.bis.WarmStarts == starts {
+		t.Fatal("the measured probes never warm-started")
+	}
+
+	if _, err := w.bis.MinTime(1e-4); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(100, func() { _, _ = w.bis.MinTime(1e-4) }); avg != 0 {
+		t.Errorf("MinTime allocates %.1f times per solve, want 0", avg)
 	}
 }

@@ -36,15 +36,15 @@ func TestMinTimeCanceled(t *testing.T) {
 	}
 }
 
-// Cancellation mid-bisection: cancel after the first probe via a context
-// that a probe hook trips. The bisector only checks between probes, so use
-// a context canceled manually after doubling starts.
+// Cancellation of a long search: the bisector only checks between probes,
+// so a context canceled before the search starts must stop it at the first
+// check.
 func TestMinTimeCanceledMidBisection(t *testing.T) {
 	g := New(3)
 	e1 := g.AddEdge(0, 1, 0)
 	e2 := g.AddEdge(1, 2, 0)
 	b := NewTimeBisector(g, 0, 2, 1e12)
-	b.AddRateEdge(e1, 1) // forces many doubling steps from the initial guess
+	b.AddRateEdge(e1, 1) // 1 B/s for 1e12 B: a horizon of 1e12 s
 	b.AddFixedEdge(e2, 1e12)
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -3,9 +3,12 @@
 // §3.2): one solver (Dinic's blocking flows, with warm continuation from an
 // existing flow), minimum-cut extraction, flow decomposition into
 // source→sink paths (used to turn a flow into per-link traffic
-// assignments), and the time-bisection feasibility procedure the paper uses
-// to score hardware placement candidates. The package's tests keep
-// Edmonds–Karp, the paper's Ford–Fulkerson, as the oracle Dinic is checked
+// assignments), and the minimum demand-feasible horizon that scores
+// hardware placement candidates. The paper finds that horizon by time
+// bisection; TimeBisector.MinTime computes it exactly by Newton steps on
+// the min-cut line, in a handful of max-flow solves. The package's tests
+// keep Edmonds–Karp, the paper's Ford–Fulkerson, as the oracle Dinic is
+// checked against, and the time bisection as the oracle MinTime is checked
 // against.
 //
 // Capacities are float64 (bytes or bytes/second); comparisons use a small
@@ -45,6 +48,11 @@ type Graph struct {
 	// and treat a mismatch as "the graph moved underneath me". Clone
 	// copies it.
 	gen uint64
+	// Dinic scratch, reused across solves so a solve allocates nothing;
+	// Clone starts without it.
+	level []int32
+	iter  []int
+	queue []int
 }
 
 // SolveStats counts the work done by this graph's solver, cumulative over
@@ -290,20 +298,23 @@ func (g *Graph) checkTerminals(s, t int) {
 }
 
 func (g *Graph) dinic(s, t int) float64 {
+	if cap(g.level) < g.n {
+		g.level = make([]int32, g.n)
+		g.iter = make([]int, g.n)
+		g.queue = make([]int, 0, g.n)
+	}
+	level, iter := g.level[:g.n], g.iter[:g.n]
 	total := 0.0
-	level := make([]int32, g.n)
-	iter := make([]int, g.n)
-	queue := make([]int, 0, g.n)
 	for {
-		// Build level graph.
+		// Build level graph. Each node is queued at most once, so the
+		// queue never outgrows its n slots.
 		for i := range level {
 			level[i] = -1
 		}
 		level[s] = 0
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		queue := append(g.queue[:0], s)
+		for i := 0; i < len(queue); i++ {
+			u := queue[i]
 			for _, e := range g.head[u] {
 				v := int(g.to[e])
 				if level[v] < 0 && g.resid[e] > Eps {
@@ -315,9 +326,7 @@ func (g *Graph) dinic(s, t int) float64 {
 		if level[t] < 0 {
 			return total
 		}
-		for i := range iter {
-			iter[i] = 0
-		}
+		clear(iter)
 		for {
 			f := g.dinicDFS(s, t, Inf, level, iter)
 			if f <= Eps {
@@ -354,19 +363,7 @@ func (g *Graph) dinicDFS(u, t int, limit float64, level []int32, iter []int) flo
 // edges' capacities equals the max-flow value (max-flow min-cut theorem).
 func (g *Graph) MinCut(s int) (edges []EdgeID, sourceSide []bool) {
 	sourceSide = make([]bool, g.n)
-	queue := []int{s}
-	sourceSide[s] = true
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, e := range g.head[u] {
-			v := int(g.to[e])
-			if !sourceSide[v] && g.resid[e] > Eps {
-				sourceSide[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
+	g.residualReach(s, sourceSide, make([]int, 0, g.n))
 	for e := EdgeID(0); int(e) < len(g.to); e += 2 {
 		u, v := g.Endpoints(e)
 		if sourceSide[u] && !sourceSide[v] {
@@ -374,6 +371,23 @@ func (g *Graph) MinCut(s int) (edges []EdgeID, sourceSide []bool) {
 		}
 	}
 	return edges, sourceSide
+}
+
+// residualReach marks in side, which must hold n false entries, the nodes
+// s reaches over edges with residual above Eps: the source side of a
+// minimum cut once a maximum flow is on the graph. queue is scratch with
+// room for n nodes, so the search allocates nothing.
+func (g *Graph) residualReach(s int, side []bool, queue []int) {
+	side[s] = true
+	queue = append(queue[:0], s)
+	for i := 0; i < len(queue); i++ {
+		for _, e := range g.head[queue[i]] {
+			if v := int(g.to[e]); !side[v] && g.resid[e] > Eps {
+				side[v] = true
+				queue = append(queue, v)
+			}
+		}
+	}
 }
 
 // Path is one source→sink flow path with the amount routed along it.

@@ -1,5 +1,7 @@
 package maxflow
 
+import "math"
+
 // edmondsKarp is the test oracle Dinic is checked against: Ford–Fulkerson
 // with shortest (BFS) augmenting paths, the procedure the paper names,
 // run on the same residual bookkeeping. Like MaxFlow it clears any flow
@@ -63,4 +65,50 @@ var solvers = []struct {
 }{
 	{"dinic", (*Graph).MaxFlow},
 	{"edmonds-karp", edmondsKarp},
+}
+
+// bisectMinTime is the oracle MinTime's Newton steps are checked against:
+// the paper's time bisection. It doubles a guess until a probe is
+// feasible, then halves the bracket until it is within relative tolerance
+// tol, and returns the bracket's feasible upper end with a feasible flow
+// for it on the graph. It answers 0 up front when the demand fits at
+// horizon 0: bisecting there drives the upper end into the subnormals,
+// where the midpoint rounds to zero and the loop never ends.
+func bisectMinTime(b *TimeBisector, tol float64) (float64, error) {
+	if b.Feasible(0) {
+		return 0, nil
+	}
+	// Initial guess: demand over the sum of finite rates, a lower bound on
+	// the completion time if the rate edges out of the source bind.
+	rateSum := 0.0
+	for _, r := range b.rates {
+		if !math.IsInf(r, 1) {
+			rateSum += r
+		}
+	}
+	lo, hi := 0.0, 1.0
+	if rateSum > 0 {
+		hi = b.Demand / rateSum * 2
+	}
+	const maxDoublings = 80
+	d := 0
+	for ; d < maxDoublings && !b.Feasible(hi); d++ {
+		lo = hi
+		hi *= 2
+	}
+	if d == maxDoublings {
+		return 0, ErrInfeasible
+	}
+	for hi-lo > tol*hi {
+		mid := (lo + hi) / 2
+		if b.Feasible(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	if !b.Feasible(hi) {
+		return 0, ErrInfeasible
+	}
+	return hi, nil
 }

@@ -118,8 +118,7 @@ func (w *warmNet) degrade(t *testing.T, in *faults.Injector, at float64) {
 }
 
 // agree fails the test unless warm and cold MinTime answers match within
-// the bisection's own relative tolerance (both may also agree on
-// infeasibility).
+// the search's relative tolerance (both may also agree on infeasibility).
 func agree(t *testing.T, seed int64, tol float64, warm, cold *TimeBisector) {
 	t.Helper()
 	tw, errW := warm.MinTime(tol)
@@ -154,7 +153,7 @@ func TestWarmStartMatchesColdStart(t *testing.T) {
 				seed, cold.bis.WarmStarts)
 		}
 		// Repeat solves on the same bisector must stay consistent too
-		// (warm state carries across MinTime calls).
+		// (each MinTime drops the previous solve's warm state).
 		agree(t, seed, tol, warm.bis, cold.bis)
 	}
 	if totalWarm == 0 {
@@ -165,12 +164,12 @@ func TestWarmStartMatchesColdStart(t *testing.T) {
 // TestWarmStartUnderFaultSchedules replays deterministic fault-degraded
 // capacity schedules (SSD throttles and link downtrains from
 // internal/faults) against warm and cold bisectors: after every schedule
-// step both must agree, throttle onsets must be self-detected as
-// non-monotone (WarmAborts), and throttle recoveries must keep warm starts
-// sound.
+// step both must agree. Each MinTime starts cold at horizon 0, so a
+// schedule change between solves never meets a warm flow; the abort rule
+// itself is pinned by TestWarmAbortSelfDetection.
 func TestWarmStartUnderFaultSchedules(t *testing.T) {
 	const tol = 1e-4
-	abortsSeen, warmSeen := 0, 0
+	warmSeen := 0
 	for seed := int64(0); seed < 20; seed++ {
 		sched := &faults.Schedule{
 			Seed: seed,
@@ -191,14 +190,10 @@ func TestWarmStartUnderFaultSchedules(t *testing.T) {
 			cold.degrade(t, in, at)
 			agree(t, seed, tol, warm.bis, cold.bis)
 		}
-		abortsSeen += warm.bis.WarmAborts
 		warmSeen += warm.bis.WarmStarts
 	}
 	if warmSeen == 0 {
 		t.Fatal("warm start never engaged under fault schedules")
-	}
-	if abortsSeen == 0 {
-		t.Fatal("no warm abort recorded despite non-monotone throttle onsets")
 	}
 }
 

@@ -162,7 +162,10 @@ func Dedupe(m *topology.Machine, ps []*topology.Placement) ([]*topology.Placemen
 
 // Options tunes the placement search.
 type Options struct {
-	// Tolerance is the relative bisection tolerance (default 1e-4).
+	// Tolerance bounds each score from above (default 1e-4): the solver
+	// returns a feasible horizon at most (1+Tolerance) times the exact
+	// minimum, which its Newton steps reach in practice. It is part of the
+	// score-cache key.
 	Tolerance float64
 	// Parallelism bounds concurrent candidate evaluations
 	// (default GOMAXPROCS).
@@ -187,13 +190,14 @@ type Options struct {
 	Observer *obs.Observer
 	// Explain, when non-nil, receives a per-decision provenance trail:
 	// candidates pruned (with reasons), score-cache hits, per-candidate
-	// bisection work, and run-level summaries. Steps carry the candidate's
-	// enumeration index, so the rendered trail is deterministic for a fixed
+	// solver work (the "bisect" steps: max-flow probes and Newton steps),
+	// and run-level summaries. Steps carry the candidate's enumeration
+	// index, so the rendered trail is deterministic for a fixed
 	// machine/demand at any Parallelism. Nil (the default) costs nothing on
 	// the hot path.
 	Explain *obs.Explain
 	// Ctx, when non-nil, cancels an in-flight search: enumeration stops,
-	// scoring workers abandon their current bisection at the next probe
+	// scoring workers abandon their current solve at the next probe
 	// (see maxflow.TimeBisector.Ctx), and Search returns the context's
 	// error. An abandoned caller — a disconnected planning request, a
 	// timed-out RPC — therefore stops consuming CPU instead of running the
@@ -242,7 +246,7 @@ type scoredSeq struct {
 // CacheKey returns the score-cache key under which Search and replans
 // memoize candidate p's predicted time: the canonical placement
 // class prefixed with machine-rate and demand fingerprints plus the
-// bisection tolerance, so one shared cache serves different machines,
+// solver tolerance, so one shared cache serves different machines,
 // demands, and tolerances without collisions.
 func CacheKey(m *topology.Machine, p *topology.Placement, d *flownet.Demand, tol float64) (string, error) {
 	return CacheKeyFaults(m, p, d, tol, "")
@@ -340,7 +344,9 @@ func (c *collector) merge(o *collector) {
 }
 
 // Search enumerates placements, reduces symmetry, scores every survivor by
-// time-bisection max-flow under demand d, and returns the fastest.
+// the minimum horizon at which one max-flow routes demand d (the paper's
+// time-bisection score, computed exactly by maxflow's Newton steps), and
+// returns the fastest.
 //
 // The caller's goroutine enumerates and dedupes (canonical-key isomorphic
 // reduction), handing survivors in enumeration order to min(Parallelism,
@@ -597,9 +603,9 @@ func isCanceled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// score evaluates one candidate by time-bisection max-flow, rebuilding into
-// the worker's scratch network (flownet.BuildReuse) to keep the hot loop
-// out of the allocator. It returns the network used so the caller can
+// score evaluates one candidate by its minimum max-flow horizon,
+// rebuilding into the worker's scratch network (flownet.BuildReuse) to keep
+// the hot loop out of the allocator. It returns the network used so the caller can
 // thread it into the next evaluation.
 func score(st *searchState, c cand, scratch *flownet.Network) (Scored, *flownet.Network) {
 	candP, o := c.p, st.o

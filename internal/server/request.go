@@ -65,8 +65,11 @@ type WorkloadSpec struct {
 
 // SearchSpec tunes the placement search.
 type SearchSpec struct {
-	Tolerance float64 `json:"tolerance,omitempty"` // bisection tolerance, default 1e-4
-	TopK      int     `json:"top_k,omitempty"`     // ranked placements to return, default 1
+	// Tolerance bounds each score from above, default 1e-4: a candidate's
+	// horizon is at most (1+tolerance) times its exact minimum. It is
+	// part of the request fingerprint.
+	Tolerance float64 `json:"tolerance,omitempty"`
+	TopK      int     `json:"top_k,omitempty"` // ranked placements to return, default 1
 }
 
 // PlanResponse is the JSON body of a successful plan.

@@ -1,6 +1,6 @@
 // Package verify is the correctness-certification subsystem for Moment's
 // planner core. The headline numbers of the paper rest on the planner being
-// right: the time-bisection max-flow score (§3.2) decides the recommended
+// right: the max-flow horizon score (§3.2) decides the recommended
 // hardware placement, and the DDAK layout (§3.3) realizes the per-bin
 // traffic that flow solution promised. A silently wrong flow or an
 // over-capacity bin invalidates every downstream figure, so this package

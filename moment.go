@@ -2,8 +2,8 @@
 // Communication Topology and Data Placement for Multi-GPU Out-of-core GNN
 // Training" (SC '25): a co-optimizer that, given a multi-GPU multi-SSD
 // server's communication topology and a GNN training workload, selects the
-// hardware placement (which PCIe slots hold the GPUs and SSDs) by
-// time-bisection max-flow over the augmented communication graph, and lays
+// hardware placement (which PCIe slots hold the GPUs and SSDs) by the
+// minimum max-flow horizon over the augmented communication graph, and lays
 // out vertex embeddings across the GPU/CPU/SSD hierarchy with a
 // data-distribution-aware knapsack (DDAK).
 //
