@@ -12,6 +12,7 @@
 //	momentsim -machine B -layout moment -flight flight.json
 //	momentsim -machine B -layout c -drift "every=100;kind=shuffle;mag=0.2;seed=7" -epochs 300
 //	momentsim -machine B -layout c -drift "every=100;kind=flip;mag=0.2" -drift-oracle
+//	momentsim -machine B -layout c -drift "every=100;kind=shuffle;mag=0.2;seed=7" -epochs 300 -faults "kill:ssd1@1500"
 //	momentsim -machine B -layout moment -dataset PA -cluster 4 -replication 0.25
 //	momentsim -machine B -layout c -cluster 4 -cluster-flow -leaves 2 -leaf-uplink 150
 //	momentsim -machine B -layout c -cluster 4 -cluster-flow -partition 1.5d:2 -nic-on-gpu-socket
@@ -147,14 +148,11 @@ func main() {
 		if *baseline != "" {
 			fatal(fmt.Errorf("-drift only applies to the plain simulation, not baseline %q", *baseline))
 		}
-		if schedule != nil {
-			fatal(fmt.Errorf("-drift and -faults cannot be combined"))
-		}
 		sched, err := moment.ParseDriftSpec(*drift)
 		if err != nil {
 			fatal(err)
 		}
-		cfg := moment.SimConfig{Machine: m, Placement: p, Workload: w, Cache: moment.CachePartitioned}
+		cfg := moment.SimConfig{Machine: m, Placement: p, Workload: w, Cache: moment.CachePartitioned, Faults: schedule}
 		rep, err := moment.SimulateDrift(cfg, moment.DriftOptions{
 			Epochs:   *driftEpochs,
 			Schedule: sched,
@@ -176,6 +174,9 @@ func main() {
 			rep.Trips, rep.Replans, rep.DeltaSolves, rep.FullSolves, rep.Skipped)
 		fmt.Printf("migration: %.1f GiB moved, stall %.2fs; final fast-tier hit %.1f%%\n",
 			rep.MovedBytes/(1<<30), rep.StallSeconds, rep.FinalHitFast*100)
+		if schedule != nil {
+			fmt.Printf("faults: %s; dead ssds %v\n", moment.FormatFaultSpec(schedule), rep.DeadSSDs)
+		}
 		return
 	}
 

@@ -202,8 +202,9 @@ func LayoutTiers(a *ItemAssignment) ([]uint8, error) { return adaptive.TierOf(a)
 // SimulateDrift runs a long-horizon training simulation whose hotness
 // distribution drifts on a seeded schedule, chased either by the closed
 // adaptive loop or (opt.Oracle) by from-scratch re-planning at every event.
+// cfg.Faults, when set, is replayed over the same horizon.
 func SimulateDrift(cfg SimConfig, opt DriftOptions) (*DriftReport, error) {
-	return trainsim.SimulateDriftEpochs(cfg, opt)
+	return trainsim.SimulateEpochs(cfg, opt)
 }
 
 // ParseDriftSpec parses the CLI drift grammar

@@ -57,14 +57,11 @@ type BenchRecord struct {
 
 	// Long-horizon simulation accounting, populated only by the multi-epoch
 	// sweep row (layout "longsim"). EpochSec is the deterministic mean
-	// simulated epoch over the horizon; the wall-clock pair compares the
-	// naive re-simulate-every-epoch baseline against the fault-signature
-	// delta cache and is informational.
-	SimEpochs      int     `json:"sim_epochs,omitempty"`
-	SimResims      int     `json:"sim_resims,omitempty"`
-	SimCacheHits   int     `json:"sim_cache_hits,omitempty"`
-	SimBaselineMS  float64 `json:"sim_baseline_ms,omitempty"`
-	SimOptimizedMS float64 `json:"sim_optimized_ms,omitempty"`
+	// simulated epoch over the horizon; the counts split its epochs into
+	// fabric simulations and memo hits.
+	SimEpochs    int `json:"sim_epochs,omitempty"`
+	SimResims    int `json:"sim_resims,omitempty"`
+	SimCacheHits int `json:"sim_cache_hits,omitempty"`
 
 	// Adaptive drift-loop accounting, populated only by the traffic-drift
 	// row (layout "drift"). EpochSec is the adaptive run's deterministic

@@ -109,7 +109,7 @@ func (e Event) activeAt(t float64) bool {
 
 // Validate checks one event's fields.
 func (e Event) Validate() error {
-	if math.IsNaN(e.At) || e.At < 0 {
+	if math.IsNaN(e.At) || math.IsInf(e.At, 0) || e.At < 0 {
 		return fmt.Errorf("faults: %s event at invalid time %v", e.Kind, e.At)
 	}
 	if math.IsNaN(e.Duration) || e.Duration < 0 {
@@ -119,6 +119,12 @@ func (e Event) Validate() error {
 	case FailStop:
 		if e.SSD < 0 {
 			return fmt.Errorf("faults: kill event targets no SSD")
+		}
+		// A fail-stop is permanent: a duration, factor or probability on
+		// it would be dropped by Format, silently turning an outage into
+		// a permanent loss.
+		if e.Duration != 0 || e.Factor != 0 || e.Prob != 0 {
+			return fmt.Errorf("faults: kill event takes no duration, factor or probability")
 		}
 	case Throttle:
 		if e.SSD < 0 {

@@ -172,6 +172,8 @@ func TestValidateRejectsBadEvents(t *testing.T) {
 		{Kind: Straggler, GPU: -1, At: 1, Factor: 0.5},
 		{Kind: Throttle, SSD: 0, At: -1, Factor: 0.5},
 		{Kind: Throttle, SSD: 0, At: math.NaN(), Factor: 0.5},
+		{Kind: Throttle, SSD: 0, At: math.Inf(1), Factor: 0.5},
+		{Kind: FailStop, SSD: 0, At: 1, Duration: 3},
 	}
 	for i, e := range bad {
 		if err := e.Validate(); err == nil {
@@ -238,6 +240,10 @@ func TestParseErrors(t *testing.T) {
 		"seed=abc",
 		"straggle:gpu@1x0.5",
 		"errburst:ssd0@1p0.5x2junk",
+		"kill:ssd0@5+3",
+		"kill:ssd0@5x0.5",
+		"kill:ssd0@5p0.1",
+		"kill:ssd0@inf",
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) should fail", spec)

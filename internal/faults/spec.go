@@ -93,7 +93,7 @@ func parseEvent(clause string) (Event, error) {
 		ev.SSD = d
 	}
 	// timing: start[x factor|p prob][+duration]
-	if plus := strings.IndexByte(timing, '+'); plus >= 0 {
+	if plus := durationSep(timing); plus >= 0 {
 		dur, err := strconv.ParseFloat(timing[plus+1:], 64)
 		if err != nil {
 			return Event{}, fmt.Errorf("faults: bad duration in %q: %v", clause, err)
@@ -120,6 +120,18 @@ func parseEvent(clause string) (Event, error) {
 	}
 	ev.At = start
 	return ev, nil
+}
+
+// durationSep returns the index of the '+' that starts a clause's
+// duration, or -1: the first '+' that is not an exponent's sign (Format
+// writes a start time of a million seconds as 1e+06).
+func durationSep(timing string) int {
+	for i := 0; i < len(timing); i++ {
+		if timing[i] == '+' && (i == 0 || timing[i-1] != 'e' && timing[i-1] != 'E') {
+			return i
+		}
+	}
+	return -1
 }
 
 // indexedTarget parses "ssd3" / "gpu0" style targets.

@@ -157,7 +157,7 @@ type degradeInput struct {
 	// t0 starts the timeline at an absolute schedule time instead of 0, and
 	// dead seeds devices that already fail-stopped before t0 (their traffic
 	// must have been re-routed out of specs by the caller). Both are zero
-	// for a single-epoch run; the multi-epoch sweep uses them to evaluate a
+	// for a single-epoch run; the long-horizon loop uses them to evaluate a
 	// later epoch against the same absolute fault schedule.
 	t0   float64
 	dead map[int]bool

@@ -2,6 +2,7 @@ package trainsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -10,19 +11,18 @@ import (
 	"moment/internal/adaptive"
 	"moment/internal/ddak"
 	"moment/internal/obs"
-	"moment/internal/units"
 )
 
-// This file implements the long-horizon workload-drift harness: simulating
-// thousands of back-to-back epochs while the access distribution shifts on
-// a seeded schedule (the dynamic-workload scenario the paper defers in §5).
-// Planning runs once; each drift event then perturbs the live hotness and
-// the closed adaptive loop — Monitor EWMA → DriftDetector → incremental
-// DDAK re-solve with migration billing — chases it. An oracle mode replans
-// from scratch at every drift event with perfect knowledge of the new
-// distribution, giving the differential the drift tests assert against:
-// the adaptive loop must land within a few percent of the oracle's epoch
-// time while migrating a fraction of its bytes.
+// This file implements the drift side of the long-horizon driver
+// (horizon.go): the access distribution shifts on a seeded schedule (the
+// dynamic-workload scenario the paper defers in §5). Each drift event
+// perturbs the live hotness and the closed adaptive loop — Monitor EWMA →
+// DriftDetector → incremental DDAK re-solve with migration billing —
+// chases it. An oracle mode replans from scratch at every drift event with
+// perfect knowledge of the new distribution, giving the differential the
+// drift tests assert against: the adaptive loop must land within a few
+// percent of the oracle's epoch time while migrating a fraction of its
+// bytes.
 
 // DriftKind selects how a drift event perturbs the hotness distribution.
 type DriftKind int
@@ -77,7 +77,9 @@ func (s DriftSchedule) Empty() bool {
 	return s.Every <= 0 || s.Kind == DriftNone
 }
 
-// Validate rejects schedules SimulateDriftEpochs cannot run.
+// Validate rejects schedules SimulateEpochs cannot run. A NaN magnitude is
+// rejected even on a schedule that never fires, so that every valid
+// schedule survives a FormatDriftSpec/ParseDriftSpec round trip.
 func (s DriftSchedule) Validate() error {
 	if s.Every < 0 {
 		return fmt.Errorf("trainsim: negative drift period %d", s.Every)
@@ -85,7 +87,7 @@ func (s DriftSchedule) Validate() error {
 	if _, ok := driftKindNames[s.Kind]; !ok {
 		return fmt.Errorf("trainsim: unknown drift kind %d", int(s.Kind))
 	}
-	if !s.Empty() && (s.Mag <= 0 || s.Mag > 1) {
+	if math.IsNaN(s.Mag) || (!s.Empty() && !(s.Mag > 0 && s.Mag <= 1)) {
 		return fmt.Errorf("trainsim: drift magnitude %v out of (0,1]", s.Mag)
 	}
 	return nil
@@ -145,72 +147,6 @@ func ParseDriftSpec(spec string) (DriftSchedule, error) {
 // FormatDriftSpec renders a schedule in the ParseDriftSpec grammar.
 func FormatDriftSpec(s DriftSchedule) string {
 	return fmt.Sprintf("every=%d;kind=%s;mag=%g;seed=%d", s.Every, s.Kind, s.Mag, s.Seed)
-}
-
-// DriftOptions tunes SimulateDriftEpochs.
-type DriftOptions struct {
-	// Epochs is the horizon length (default 1).
-	Epochs int
-	// Schedule is the hotness-drift process to chase.
-	Schedule DriftSchedule
-	// Oracle replaces the adaptive loop with a from-scratch full re-plan
-	// at every drift event, fed the true post-event distribution — the
-	// upper bound on layout quality and on migration traffic.
-	Oracle bool
-	// DeltaBudget is the incremental re-solve's MaxMoveFrac (default 0.5;
-	// negative forces full re-solves on the adaptive path too).
-	DeltaBudget float64
-	// PaybackEpochs bills adaptive migrations against their projected
-	// per-epoch savings (see adaptive.Replanner): a move is only taken if
-	// the fast-tier bytes it saves repay its bill within the window. The
-	// default is half the drift period — a migration should pay for
-	// itself before the distribution likely shifts again. Negative
-	// disables billing (every triggered replan commits).
-	PaybackEpochs float64
-	// HalfLifeEpochs is the monitor's EWMA half-life (default 2).
-	HalfLifeEpochs float64
-	// TVTrip and TripAfter configure the detector (defaults 0.05 and 1);
-	// Cooldown suppresses re-trips for that many epochs after a replan
-	// (default 3, enough for the EWMA to converge onto a new regime).
-	TVTrip    float64
-	TripAfter int
-	Cooldown  int
-	// MigrationBW is the fabric bandwidth migrations are billed at, in
-	// bytes/second (default 8e9); the stall lands on the replan epoch.
-	MigrationBW float64
-}
-
-// DriftReport aggregates a drift-horizon run.
-type DriftReport struct {
-	// Epochs is the number of epochs simulated; Oracle echoes the mode.
-	Epochs int
-	Oracle bool
-	// Total is the horizon wall-clock including migration stalls.
-	Total units.Duration
-	// EpochTimes holds each epoch's duration in seconds (stalls included).
-	EpochTimes []float64
-	// MeanEpoch is Total/Epochs in seconds.
-	MeanEpoch float64
-	// DriftEvents counts schedule firings; Trips counts detector trips
-	// (zero in oracle mode — the oracle needs no detector).
-	DriftEvents int
-	Trips       int
-	// Replans counts committed re-placements; Delta/Full split them by
-	// solver, and Skipped counts payback-rejected migrations.
-	Replans     int
-	DeltaSolves int
-	FullSolves  int
-	Skipped     int
-	// MovedBytes is the total migration bill; StallSeconds its time cost.
-	MovedBytes   float64
-	StallSeconds float64
-	// Resims counts epochs priced by a fresh fabric simulation; CacheHits
-	// counts epochs served by the (assignment, hotness) memo.
-	Resims    int
-	CacheHits int
-	// FinalHitFast is the fast-tier (GPU+CPU) hit rate of the final layout
-	// under the final live distribution.
-	FinalHitFast float64
 }
 
 // applyDrift perturbs hot in place for event number ev (0-based).
@@ -324,39 +260,32 @@ func oracleBins(es *epochSetup, live []float64) []ddak.Bin {
 	return bins
 }
 
-// servedSig fingerprints a per-bin served-bytes vector (the only fabric
-// input that changes across a drift horizon) so epochs with identical
-// traffic are priced from memory.
-func servedSig(served []float64) string {
-	var b strings.Builder
-	for _, v := range served {
-		fmt.Fprintf(&b, "%.6g;", v)
-	}
-	return b.String()
+// driftLoop is a horizon run's drift state: the live hotness, the layout in
+// force, and either the closed adaptive loop or the from-scratch oracle.
+type driftLoop struct {
+	opt       SweepOptions
+	es        *epochSetup
+	o         *obs.Observer
+	rng       *rand.Rand
+	live      []float64 // the access distribution in force
+	itemBytes []float64
+	assign    *ddak.ItemAssignment // the layout in force
+	buf       []float64            // served bytes per bin, see served
+
+	// Adaptive-loop state (nil in oracle mode).
+	mon  *adaptive.Monitor
+	det  *adaptive.DriftDetector
+	repl *adaptive.Replanner
+	ref  []float64 // distribution the current layout was planned for
+	est  []float64
+
+	// Oracle state (nil on the adaptive path).
+	oracleItems []ddak.Item
 }
 
-// SimulateDriftEpochs simulates opt.Epochs back-to-back epochs while
-// opt.Schedule perturbs the live hotness distribution, closing the adaptive
-// loop around the layout (or replaying the from-scratch oracle when
-// opt.Oracle is set). It requires the fully DDAK-managed configuration —
-// PolicyDDAK with partitioned GPU caches — because that is the regime where
-// the layout, and therefore drift, is entirely placement-driven.
-func SimulateDriftEpochs(cfg Config, opt DriftOptions) (*DriftReport, error) {
-	if err := opt.Schedule.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Policy != PolicyDDAK {
-		return nil, fmt.Errorf("trainsim: drift simulation requires PolicyDDAK")
-	}
-	if cfg.Cache != CachePartitioned {
-		return nil, fmt.Errorf("trainsim: drift simulation requires CachePartitioned")
-	}
-	if cfg.Faults != nil && !cfg.Faults.Empty() {
-		return nil, fmt.Errorf("trainsim: drift simulation does not compose with fault schedules")
-	}
-	if opt.Epochs <= 0 {
-		opt.Epochs = 1
-	}
+// newDriftLoop fills opt's defaults and seeds the loop from the planned
+// layout.
+func newDriftLoop(es *epochSetup, opt SweepOptions, o *obs.Observer) (*driftLoop, error) {
 	if opt.DeltaBudget == 0 {
 		opt.DeltaBudget = 0.5
 	}
@@ -381,212 +310,148 @@ func SimulateDriftEpochs(cfg Config, opt DriftOptions) (*DriftReport, error) {
 	if opt.MigrationBW <= 0 {
 		opt.MigrationBW = 8e9
 	}
-
-	o := obs.Active(cfg.Observer)
-	sp := o.Begin("trainsim.drift")
-	if cfg.Machine != nil {
-		sp.SetStr("machine", cfg.Machine.Name)
+	n := len(es.placeItems)
+	d := &driftLoop{
+		opt:       opt,
+		es:        es,
+		o:         o,
+		rng:       rand.New(rand.NewSource(opt.Schedule.Seed)),
+		live:      make([]float64, n),
+		itemBytes: make([]float64, n),
+		assign:    es.assign,
+		buf:       make([]float64, len(es.bins)),
 	}
-	sp.SetInt("epochs", opt.Epochs)
-	sp.SetStr("schedule", FormatDriftSpec(opt.Schedule))
-	defer sp.End()
-
-	es, oom, err := placeAndSpecs(cfg, o, sp)
+	for i, it := range es.placeItems {
+		d.itemBytes[i] = it.Bytes
+		d.live[i] = it.Hot
+	}
+	if opt.Oracle {
+		d.oracleItems = append([]ddak.Item(nil), es.placeItems...)
+		return d, nil
+	}
+	var err error
+	if d.mon, err = adaptive.NewMonitor(n, opt.HalfLifeEpochs); err != nil {
+		return nil, err
+	}
+	d.det = &adaptive.DriftDetector{
+		TVTrip:    opt.TVTrip,
+		TripAfter: opt.TripAfter,
+		Cooldown:  opt.Cooldown,
+		Observer:  o,
+	}
+	// Threshold is bypassed (the detector decides; replans go through
+	// Replan directly), so any valid value works.
+	d.repl, err = adaptive.NewReplanner(d.live, d.itemBytes, es.bins, es.cfg.PoolN, es.pl.fetchEpoch, 0.5)
 	if err != nil {
 		return nil, err
 	}
-	if oom != nil {
-		return nil, fmt.Errorf("trainsim: drift configuration cannot run: %s", oom.OOM)
+	if opt.DeltaBudget > 0 {
+		d.repl.DeltaBudget = opt.DeltaBudget
 	}
-	cfg = es.cfg
-	m := cfg.Machine
+	d.repl.PaybackEpochs = opt.PaybackEpochs
+	d.repl.Observer = o
+	d.assign = d.repl.Current()
+	d.ref = append([]float64(nil), d.live...)
+	d.est = make([]float64, 0, n)
+	return d, nil
+}
 
-	n := len(es.placeItems)
-	itemBytes := make([]float64, n)
-	live := make([]float64, n)
-	for i, it := range es.placeItems {
-		itemBytes[i] = it.Bytes
-		live[i] = it.Hot
+// step enters epoch e: it applies the drift event that falls due, if any,
+// and lets the oracle or the adaptive loop decide the layout. changed
+// reports that the live hotness or the layout moved; stall is the
+// migration time billed before the epoch's I/O.
+func (d *driftLoop) step(e int, res *SweepResult) (stall float64, changed bool, err error) {
+	s := d.opt.Schedule
+	if !s.Empty() && e > 0 && e%s.Every == 0 {
+		applyDrift(d.live, s, d.rng, res.DriftEvents)
+		res.DriftEvents++
+		changed = true
+		if d.o.FlightEnabled() {
+			d.o.Event(obs.Event{Kind: obs.EvDrift, Name: "shift",
+				Reason: s.Kind.String(), V1: float64(e)})
+		}
 	}
-	assign := es.assign
 
-	// Adaptive-loop state (unused in oracle mode).
-	var (
-		mon  *adaptive.Monitor
-		det  *adaptive.DriftDetector
-		repl *adaptive.Replanner
-		ref  []float64 // distribution the current layout was planned for
-	)
-	if !opt.Oracle {
-		mon, err = adaptive.NewMonitor(n, opt.HalfLifeEpochs)
+	if d.opt.Oracle {
+		if !changed {
+			return 0, false, nil
+		}
+		// Perfect knowledge: full re-solve onto the true new distribution
+		// the moment it changes.
+		for i := range d.oracleItems {
+			d.oracleItems[i].Hot = d.live[i]
+		}
+		next, err := ddak.PlaceItemsObserved(d.oracleItems, oracleBins(d.es, d.live), d.es.cfg.PoolN, d.es.pl.fetchEpoch, d.o)
 		if err != nil {
-			return nil, err
+			return 0, false, fmt.Errorf("trainsim: oracle re-plan at epoch %d: %w", e, err)
 		}
-		det = &adaptive.DriftDetector{
-			TVTrip:    opt.TVTrip,
-			TripAfter: opt.TripAfter,
-			Cooldown:  opt.Cooldown,
-			Observer:  o,
-		}
-		// Threshold is bypassed (the detector decides; replans go through
-		// Replan directly), so any valid value works.
-		repl, err = adaptive.NewReplanner(live, itemBytes, es.bins, cfg.PoolN, es.pl.fetchEpoch, 0.5)
-		if err != nil {
-			return nil, err
-		}
-		if opt.DeltaBudget > 0 {
-			repl.DeltaBudget = opt.DeltaBudget
-		}
-		repl.PaybackEpochs = opt.PaybackEpochs
-		repl.Observer = o
-		assign = repl.Current()
-		ref = append([]float64(nil), live...)
-	}
-	oracleItems := append([]ddak.Item(nil), es.placeItems...)
-
-	rng := rand.New(rand.NewSource(opt.Schedule.Seed))
-	rep := &DriftReport{
-		Epochs:     opt.Epochs,
-		Oracle:     opt.Oracle,
-		EpochTimes: make([]float64, 0, opt.Epochs),
-	}
-
-	// ioOf prices one epoch's I/O for the layout in force under the live
-	// distribution, memoized on the served-bytes vector: between drift
-	// events and replans nothing the fabric sees changes.
-	ioCache := map[string]float64{}
-	served := make([]float64, len(es.bins))
-	ioOf := func(a *ddak.ItemAssignment, hot []float64) (float64, error) {
-		for b := range served {
-			served[b] = 0
-		}
-		for i, b := range a.Of {
-			served[b] += hot[i] * es.fabricScale
-		}
-		sig := servedSig(served)
-		if io, ok := ioCache[sig]; ok {
-			rep.CacheHits++
-			return io, nil
-		}
-		specs := buildFlowSpecs(cfg, es.pl, served, es.gpuBin, es.dramBin, es.ssdBin0)
-		fab, err := NewFabric(m, cfg.Placement)
-		if err != nil {
-			return 0, err
-		}
-		if err := addFlows(fab, specs); err != nil {
-			return 0, err
-		}
-		run, err := fab.Net.Run()
-		if err != nil {
-			return 0, err
-		}
-		rep.Resims++
-		ioCache[sig] = run.Makespan
-		return run.Makespan, nil
-	}
-
-	total := 0.0
-	est := make([]float64, 0, n)
-	for e := 0; e < opt.Epochs; e++ {
-		drifted := false
-		if !opt.Schedule.Empty() && e > 0 && e%opt.Schedule.Every == 0 {
-			applyDrift(live, opt.Schedule, rng, rep.DriftEvents)
-			rep.DriftEvents++
-			drifted = true
-			if o.FlightEnabled() {
-				o.Event(obs.Event{Kind: obs.EvDrift, Name: "shift",
-					Reason: opt.Schedule.Kind.String(), V1: float64(e)})
+		moved := 0.0
+		for i := range next.Of {
+			if next.Of[i] != d.assign.Of[i] {
+				moved += d.itemBytes[i]
 			}
 		}
+		d.assign = next
+		res.Replans++
+		res.FullSolves++
+		res.MovedBytes += moved
+		return moved / d.opt.MigrationBW, true, nil
+	}
 
-		stall := 0.0
-		if opt.Oracle {
-			if drifted {
-				// Perfect knowledge: full re-solve onto the true new
-				// distribution the moment it changes.
-				for i := range oracleItems {
-					oracleItems[i].Hot = live[i]
-				}
-				next, err := ddak.PlaceItemsObserved(oracleItems, oracleBins(es, live), cfg.PoolN, es.pl.fetchEpoch, o)
-				if err != nil {
-					return nil, fmt.Errorf("trainsim: oracle re-plan at epoch %d: %w", e, err)
-				}
-				moved := 0.0
-				for i := range next.Of {
-					if next.Of[i] != assign.Of[i] {
-						moved += itemBytes[i]
-					}
-				}
-				assign = next
-				rep.Replans++
-				rep.FullSolves++
-				rep.MovedBytes += moved
-				stall = moved / opt.MigrationBW
-			}
+	// The closed loop: observe the epoch's traffic, let the EWMA estimate
+	// converge, check for drift, re-solve incrementally.
+	if err := d.mon.ObserveWeights(d.live); err != nil {
+		return 0, false, err
+	}
+	d.mon.Tick()
+	d.est = d.mon.HotnessInto(d.est)
+	sig, err := d.det.Check(d.ref, d.est)
+	if err != nil {
+		return 0, false, err
+	}
+	if !sig.Tripped {
+		return 0, changed, nil
+	}
+	res.Trips++
+	mig, err := d.repl.Replan(d.est)
+	if err != nil {
+		return 0, false, fmt.Errorf("trainsim: adaptive re-plan at epoch %d: %w", e, err)
+	}
+	if mig.Skipped {
+		// The migration cannot pay for itself: accept the drifted
+		// distribution as the new reference so the detector re-arms for
+		// further drift instead of re-tripping on the same shift every
+		// cooldown.
+		res.Skipped++
+		d.ref = append(d.ref[:0], d.est...)
+	}
+	if mig.Triggered {
+		d.assign = mig.Assignment
+		d.ref = append(d.ref[:0], d.est...)
+		res.Replans++
+		if mig.Incremental {
+			res.DeltaSolves++
 		} else {
-			// The closed loop: observe the epoch's traffic, let the EWMA
-			// estimate converge, check for drift, re-solve incrementally.
-			if err := mon.ObserveWeights(live); err != nil {
-				return nil, err
-			}
-			mon.Tick()
-			est = mon.HotnessInto(est)
-			sig, err := det.Check(ref, est)
-			if err != nil {
-				return nil, err
-			}
-			if sig.Tripped {
-				rep.Trips++
-				mig, err := repl.Replan(est)
-				if err != nil {
-					return nil, fmt.Errorf("trainsim: adaptive re-plan at epoch %d: %w", e, err)
-				}
-				if mig.Skipped {
-					// The migration cannot pay for itself: accept the
-					// drifted distribution as the new reference so the
-					// detector re-arms for further drift instead of
-					// re-tripping on the same shift every cooldown.
-					rep.Skipped++
-					ref = append(ref[:0], est...)
-				}
-				if mig.Triggered {
-					assign = mig.Assignment
-					ref = append(ref[:0], est...)
-					rep.Replans++
-					if mig.Incremental {
-						rep.DeltaSolves++
-					} else {
-						rep.FullSolves++
-					}
-					rep.MovedBytes += mig.MovedBytes
-					stall = mig.MovedBytes / opt.MigrationBW
-				}
-				det.Reset()
-			}
+			res.FullSolves++
 		}
-
-		io, err := ioOf(assign, live)
-		if err != nil {
-			return nil, fmt.Errorf("trainsim: drift epoch %d: %w", e, err)
-		}
-		dur := es.epochOf(io, es.computeTime) + stall
-		rep.EpochTimes = append(rep.EpochTimes, dur)
-		rep.StallSeconds += stall
-		total += dur
+		res.MovedBytes += mig.MovedBytes
+		stall = mig.MovedBytes / d.opt.MigrationBW
+		changed = true
 	}
-	rep.Total = units.Seconds(total)
-	rep.MeanEpoch = total / float64(opt.Epochs)
-	if hit, err := adaptive.HitRate(assign, live); err == nil {
-		rep.FinalHitFast = hit
-	}
+	d.det.Reset()
+	return stall, changed, nil
+}
 
-	sp.SetFloat("total_seconds", total)
-	sp.SetInt("drift_events", rep.DriftEvents)
-	sp.SetInt("replans", rep.Replans)
-	o.Counter("trainsim_drift_epochs_total").Add(float64(opt.Epochs))
-	o.Counter("trainsim_drift_events_total").Add(float64(rep.DriftEvents))
-	o.Counter("trainsim_drift_replans_total").Add(float64(rep.Replans))
-	o.Gauge("trainsim_drift_moved_bytes").Set(rep.MovedBytes)
-	o.Gauge("trainsim_drift_mean_epoch_seconds").Set(rep.MeanEpoch)
-	return rep, nil
+// served returns the per-bin served bytes of the layout in force under the
+// live hotness, in a buffer the loop owns. Each item's hotness is already
+// its share of the fetched bytes, so it scales by fetchEpoch alone — the
+// normalization ServedBytesItems applies.
+func (d *driftLoop) served() []float64 {
+	for b := range d.buf {
+		d.buf[b] = 0
+	}
+	for i, b := range d.assign.Of {
+		d.buf[b] += d.live[i] * d.es.pl.fetchEpoch
+	}
+	return d.buf
 }

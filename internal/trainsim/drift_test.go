@@ -173,6 +173,8 @@ func TestDriftSpecRoundTrip(t *testing.T) {
 		"kind=meteor",
 		"every=100;kind=rotate;mag=1.5",
 		"every=100;kind=rotate;mag=0",
+		"every=10;kind=shuffle;mag=NaN",
+		"every=0;kind=shuffle;mag=NaN",
 		"notakv",
 		"volume=11",
 	} {
@@ -188,6 +190,37 @@ func TestDriftSpecRoundTrip(t *testing.T) {
 	if !s.Empty() {
 		t.Errorf("empty spec not empty: %+v", s)
 	}
+}
+
+// FuzzParseDriftSpec holds the drift grammar to three properties:
+// ParseDriftSpec never panics, parsing the formatted schedule gives the
+// schedule back, and FormatDriftSpec is a fixpoint.
+func FuzzParseDriftSpec(f *testing.F) {
+	for _, spec := range []string{
+		"every=100;kind=shuffle;mag=0.2;seed=7",
+		"every=1;kind=rotate;mag=1;seed=-3",
+		" kind=oscillate ; mag=5e-324 ; every=50 ",
+		"",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ParseDriftSpec(spec)
+		if err != nil {
+			return
+		}
+		text := FormatDriftSpec(s)
+		again, err := ParseDriftSpec(text)
+		if err != nil {
+			t.Fatalf("ParseDriftSpec(%q) formats as %q, which does not parse: %v", spec, text, err)
+		}
+		if again != s {
+			t.Fatalf("ParseDriftSpec(%q) = %+v, but parsing %q gives %+v", spec, s, text, again)
+		}
+		if got := FormatDriftSpec(again); got != text {
+			t.Fatalf("FormatDriftSpec is not a fixpoint: %q then %q", text, got)
+		}
+	})
 }
 
 func TestApplyDriftProperties(t *testing.T) {
@@ -255,14 +288,22 @@ func TestApplyDriftProperties(t *testing.T) {
 
 func TestSimulateDriftValidation(t *testing.T) {
 	cfg := driftCfg(t)
+	sched := DriftSchedule{Every: 10, Kind: DriftRotate, Mag: 0.1}
 	bad := cfg
 	bad.Cache = CacheReplicated
-	if _, err := SimulateDriftEpochs(bad, DriftOptions{Epochs: 1}); err == nil {
+	if _, err := SimulateDriftEpochs(bad, DriftOptions{Epochs: 1, Schedule: sched}); err == nil {
 		t.Error("replicated cache accepted")
+	}
+	if _, err := SimulateDriftEpochs(bad, DriftOptions{Epochs: 1, Oracle: true}); err == nil {
+		t.Error("replicated cache accepted in oracle mode")
+	}
+	// Without drift the run only replays faults, which any cache mode can.
+	if _, err := SimulateDriftEpochs(bad, DriftOptions{Epochs: 1}); err != nil {
+		t.Errorf("drift-free run on replicated caches refused: %v", err)
 	}
 	bad = cfg
 	bad.Policy = PolicyHash
-	if _, err := SimulateDriftEpochs(bad, DriftOptions{Epochs: 1}); err == nil {
+	if _, err := SimulateDriftEpochs(bad, DriftOptions{Epochs: 1, Schedule: sched}); err == nil {
 		t.Error("hash policy accepted")
 	}
 	if _, err := SimulateDriftEpochs(cfg, DriftOptions{

@@ -5,12 +5,25 @@ import (
 	"testing"
 
 	"moment/internal/faults"
+	"moment/internal/gnn"
 	"moment/internal/obs"
+	"moment/internal/topology"
 )
 
 func sweep(t *testing.T, cfg Config, opt SweepOptions) *SweepResult {
 	t.Helper()
 	r, err := SimulateEpochs(cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// reference runs the horizon loop with the memo off: every epoch is
+// priced on the fabric.
+func reference(t *testing.T, cfg Config, opt SweepOptions) *SweepResult {
+	t.Helper()
+	r, err := simulateEpochs(cfg, opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +47,7 @@ func TestSweepHealthyFleetCollapsesToOneResim(t *testing.T) {
 		}
 	}
 
-	base := sweep(t, cfg, SweepOptions{Epochs: 50, NoDeltaCache: true})
+	base := reference(t, cfg, SweepOptions{Epochs: 50})
 	if base.Resims != 50 || base.CacheHits != 0 {
 		t.Errorf("baseline sweep: resims=%d hits=%d, want 50/0", base.Resims, base.CacheHits)
 	}
@@ -57,7 +70,7 @@ func TestSweepDeltaMatchesBaselineUnderFaults(t *testing.T) {
 	}}
 
 	delta := sweep(t, cfg, SweepOptions{Epochs: 40})
-	base := sweep(t, cfg, SweepOptions{Epochs: 40, NoDeltaCache: true})
+	base := reference(t, cfg, SweepOptions{Epochs: 40})
 	if len(delta.EpochTimes) != 40 || len(base.EpochTimes) != 40 {
 		t.Fatalf("epoch counts: delta %d, base %d", len(delta.EpochTimes), len(base.EpochTimes))
 	}
@@ -113,7 +126,7 @@ func TestSweepCarriesDeadSSDForward(t *testing.T) {
 	if res.Resims > 3 {
 		t.Errorf("resims %d, want <= 3 (healthy, failure, degraded steady-state)", res.Resims)
 	}
-	base := sweep(t, cfg, SweepOptions{Epochs: 10, NoDeltaCache: true})
+	base := reference(t, cfg, SweepOptions{Epochs: 10})
 	for e := range base.EpochTimes {
 		if math.Abs(res.EpochTimes[e]-base.EpochTimes[e]) > 1e-9 {
 			t.Errorf("epoch %d drifted from baseline: %v vs %v", e, res.EpochTimes[e], base.EpochTimes[e])
@@ -124,5 +137,35 @@ func TestSweepCarriesDeadSSDForward(t *testing.T) {
 	}
 	if epochs := o.Counter("sim_delta_epochs_total").Value(); epochs != 20 {
 		t.Errorf("sim_delta_epochs_total = %v, want 20 (both sweeps)", epochs)
+	}
+}
+
+// The longsim bench row's configuration: machine A, four faults in the
+// first eight epochs, then a quiet tail the memo serves. The memoized run
+// must reproduce the memo-off reference epoch by epoch.
+func TestSweepLongSimMatchesReference(t *testing.T) {
+	m := topology.MachineA()
+	p, err := topology.ClassicPlacement(m, topology.LayoutC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Machine: m, Placement: p, Workload: Workload{Dataset: dataset(t, "IG"), Model: gnn.KindSAGE}}
+	ep := simulate(t, cfg).EpochTime.Sec()
+	cfg.Faults = &faults.Schedule{Seed: 11, Events: []faults.Event{
+		faults.ThrottleSSD(1, 1.3*ep, 0.5, ep),
+		faults.Burst(2, 3.4*ep, 0.3, 0.5*ep),
+		faults.Straggle(0, 5.2*ep, 0.6, 0.4*ep),
+		faults.Kill(3, 7.5*ep),
+	}}
+	opt := SweepOptions{Epochs: 1000}
+	got, want := sweep(t, cfg, opt), reference(t, cfg, opt)
+	for e := range want.EpochTimes {
+		if math.Abs(got.EpochTimes[e]-want.EpochTimes[e]) > 1e-9 {
+			t.Fatalf("epoch %d: memoized %v s, reference %v s", e, got.EpochTimes[e], want.EpochTimes[e])
+		}
+	}
+	if got.Resims != 7 || want.Resims != opt.Epochs || len(got.DeadSSDs) != 1 {
+		t.Errorf("memoized %d resims (want 7), reference %d (want %d), dead %v",
+			got.Resims, want.Resims, opt.Epochs, got.DeadSSDs)
 	}
 }

@@ -374,7 +374,7 @@ func buildPlan(cfg Config) (*plan, *Result, error) {
 // epochSetup carries everything SimulateEpoch derives before touching the
 // fabric: the normalized config and plan, the max-flow prediction, the
 // DDAK layout, the logical flow list, and the non-I/O stage durations. A
-// multi-epoch sweep (SimulateEpochs) builds it once and replays fabric
+// long-horizon run (SimulateEpochs) builds it once and replays fabric
 // runs against it instead of re-planning every epoch.
 type epochSetup struct {
 	cfg         Config
