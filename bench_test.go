@@ -24,7 +24,7 @@ import (
 	"moment/internal/trainsim"
 )
 
-func benchTable(b *testing.B, gen func() (*Table, error)) {
+func benchTable(b *testing.B, gen func() (*experiments.Table, error)) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		tbl, err := gen()
@@ -38,11 +38,11 @@ func benchTable(b *testing.B, gen func() (*Table, error)) {
 }
 
 func BenchmarkTable1Machines(b *testing.B) {
-	benchTable(b, func() (*Table, error) { return experiments.Machines(), nil })
+	benchTable(b, func() (*experiments.Table, error) { return experiments.Machines(), nil })
 }
 
 func BenchmarkTable2Datasets(b *testing.B) {
-	benchTable(b, func() (*Table, error) { return experiments.Datasets(), nil })
+	benchTable(b, func() (*experiments.Table, error) { return experiments.Datasets(), nil })
 }
 
 func BenchmarkFigure01(b *testing.B) { benchTable(b, experiments.Figure1) }
@@ -63,7 +63,7 @@ func BenchmarkFigure17(b *testing.B) { benchTable(b, experiments.Figure17) }
 func BenchmarkFigure18(b *testing.B) { benchTable(b, experiments.Figure18) }
 
 func BenchmarkCostTable(b *testing.B) {
-	benchTable(b, func() (*Table, error) { return experiments.CostTable(), nil })
+	benchTable(b, func() (*experiments.Table, error) { return experiments.CostTable(), nil })
 }
 func BenchmarkInletBandwidth(b *testing.B)    { benchTable(b, experiments.InletBandwidth) }
 func BenchmarkPreprocessingCost(b *testing.B) { benchTable(b, experiments.PreprocessingCost) }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"moment/internal/baselines"
 	"moment/internal/cluster"
@@ -11,106 +10,16 @@ import (
 	"moment/internal/units"
 )
 
-// Cluster bench row calibration: the 4-node Machine B reference on PA —
-// the dataset the DistDGL baseline survives without OOM (IG, UK and CL
-// exceed its 5x-expanded cluster memory) — with a quarter of the SSD tier
-// replicated into every node.
+// Multi-node reference calibration: Machine B nodes on PA — the dataset
+// the DistDGL baseline survives without OOM (IG, UK and CL exceed its
+// 5x-expanded cluster memory) — with a quarter of the SSD tier replicated
+// into every node.
 const (
 	clusterBenchDataset     = "PA"
 	clusterBenchReplication = 0.25
 )
 
 var clusterBenchNIC = units.Gbps(100)
-
-// ClusterBenchRecord runs the multi-node reference: the flow-based cluster
-// planner on `nodes` Machine B nodes, the analytical composition on the
-// same configuration, and the calibrated DistDGL baseline. The constructor
-// re-checks the PR's acceptance criteria — the flow planner beats DistDGL,
-// and agrees with the analytical model on the non-blocking core — so a
-// regression fails record generation itself, not just the compare gate.
-// EpochSec is the flow-planned epoch, the deterministic quantity the
-// -compare gate holds steady.
-func ClusterBenchRecord(nodes int) (BenchRecord, error) {
-	if nodes <= 0 {
-		return BenchRecord{}, fmt.Errorf("experiments: cluster bench across %d nodes", nodes)
-	}
-	m := topology.MachineB()
-	p, err := topology.MomentPlacementB(m)
-	if err != nil {
-		return BenchRecord{}, err
-	}
-	w := wl(clusterBenchDataset, gnn.KindSAGE)
-	cfg := cluster.Config{
-		Node:        m,
-		Nodes:       nodes,
-		NICBW:       clusterBenchNIC,
-		Workload:    w,
-		Placement:   p,
-		Replication: clusterBenchReplication,
-	}
-
-	flowCfg := cfg
-	flowCfg.Flow = true
-	flow, err := cluster.Simulate(flowCfg)
-	if err != nil {
-		return BenchRecord{}, fmt.Errorf("experiments: cluster flow: %w", err)
-	}
-	if flow.OOM != "" {
-		return BenchRecord{}, fmt.Errorf("experiments: cluster flow OOM: %s", flow.OOM)
-	}
-	ana, err := cluster.Simulate(cfg)
-	if err != nil {
-		return BenchRecord{}, fmt.Errorf("experiments: cluster analytical: %w", err)
-	}
-	if ana.OOM != "" {
-		return BenchRecord{}, fmt.Errorf("experiments: cluster analytical OOM: %s", ana.OOM)
-	}
-	if rel := math.Abs(flow.EpochTime.Sec()-ana.EpochTime.Sec()) / ana.EpochTime.Sec(); rel > 0.02 {
-		return BenchRecord{}, fmt.Errorf(
-			"experiments: flow cluster diverged from analytical on a non-blocking core: %.3fs vs %.3fs (rel %.4f)",
-			flow.EpochTime.Sec(), ana.EpochTime.Sec(), rel)
-	}
-
-	dgl, err := baselines.DistDGL(m, baselines.DefaultDistDGL(), w)
-	if err != nil {
-		return BenchRecord{}, err
-	}
-	if dgl.OOM != "" {
-		return BenchRecord{}, fmt.Errorf("experiments: DistDGL OOM on %s: %s", clusterBenchDataset, dgl.OOM)
-	}
-	if flow.Throughput <= dgl.Throughput {
-		return BenchRecord{}, fmt.Errorf(
-			"experiments: flow cluster %.0f v/s does not beat DistDGL %.0f v/s",
-			flow.Throughput, dgl.Throughput)
-	}
-
-	node := flow.Node
-	return BenchRecord{
-		Machine:        m.Name,
-		Dataset:        clusterBenchDataset,
-		Model:          gnn.KindSAGE.String(),
-		Layout:         "cluster",
-		Policy:         "ddak",
-		EpochSec:       flow.EpochTime.Sec(),
-		IOSec:          flow.LocalIO.Sec(),
-		PredictedIOSec: node.PredictedIO.Sec(),
-		ComputeSec:     flow.ComputeTime.Sec(),
-		SampleSec:      flow.SampleTime.Sec(),
-		HitGPU:         node.HitGPU,
-		HitCPU:         node.HitCPU,
-		QPIGiB:         node.QPIBytes / (1 << 30),
-		ThroughputVPS:  flow.Throughput,
-
-		ClusterNodes:       nodes,
-		ClusterNICGbps:     float64(clusterBenchNIC) * 8 / 1e9,
-		ClusterReplication: clusterBenchReplication,
-		ClusterRemoteGiB:   flow.RemoteBytes / (1 << 30),
-		ClusterNICSec:      flow.NICTime.Sec(),
-		ClusterFlowSec:     flow.FlowTime.Sec(),
-		ClusterAnalyticSec: ana.EpochTime.Sec(),
-		ClusterDistDGLSec:  dgl.EpochTime.Sec(),
-	}, nil
-}
 
 // ClusterVsDistDGL reproduces the §5 multi-node comparison as a table:
 // flow-planned Moment cluster vs the analytical composition vs DistDGL

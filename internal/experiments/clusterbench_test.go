@@ -5,55 +5,35 @@ import (
 	"testing"
 )
 
-// TestClusterBenchRecord pins the acceptance differential the row
-// constructor enforces: the flow-planned 4-node reference beats DistDGL
-// and agrees with the analytical composition, and the record carries the
-// cluster field group the compare gate and dashboards consume.
+// TestClusterBenchRecord pins the multi-node acceptance differential on
+// the 4-node reference: the flow-planned cluster beats DistDGL, agrees
+// with the analytical composition, and fetches remote bytes at r=0.25.
 func TestClusterBenchRecord(t *testing.T) {
-	rec, err := ClusterBenchRecord(4)
+	r, err := clusterRun(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Layout != "cluster" || rec.Dataset != clusterBenchDataset {
-		t.Fatalf("record identity %s/%s, want cluster/%s", rec.Layout, rec.Dataset, clusterBenchDataset)
+	checkClusterAcceptance(t, r)
+	if r.remoteGiB <= 0 {
+		t.Errorf("remote GiB = %g, want > 0 at r=%g", r.remoteGiB, clusterBenchReplication)
 	}
-	if rec.ClusterNodes != 4 {
-		t.Errorf("ClusterNodes = %d, want 4", rec.ClusterNodes)
-	}
-	if rec.ClusterNICGbps != 100 {
-		t.Errorf("ClusterNICGbps = %g, want 100", rec.ClusterNICGbps)
-	}
-	if rec.EpochSec <= 0 || rec.ClusterDistDGLSec <= 0 {
-		t.Fatalf("non-positive epochs: flow %g, distdgl %g", rec.EpochSec, rec.ClusterDistDGLSec)
-	}
-	if rec.ClusterDistDGLSec <= rec.EpochSec {
-		t.Errorf("flow epoch %.3fs does not beat DistDGL %.3fs", rec.EpochSec, rec.ClusterDistDGLSec)
-	}
-	if rel := math.Abs(rec.EpochSec-rec.ClusterAnalyticSec) / rec.ClusterAnalyticSec; rel > 0.02 {
-		t.Errorf("flow %.3fs vs analytical %.3fs: rel %.4f > 0.02", rec.EpochSec, rec.ClusterAnalyticSec, rel)
-	}
-	if rec.ClusterRemoteGiB <= 0 {
-		t.Errorf("ClusterRemoteGiB = %g, want > 0 at r=%g", rec.ClusterRemoteGiB, clusterBenchReplication)
-	}
-
-	if _, err := ClusterBenchRecord(0); err == nil {
-		t.Error("ClusterBenchRecord(0) succeeded, want error")
+	if _, err := clusterRun(0); err == nil {
+		t.Error("a 0-node cluster planned, want error")
 	}
 }
 
-// TestClusterBenchDeterministic: the compare gate holds epoch_sec steady
-// across runs, so two fresh records must agree bit-for-bit.
+// TestClusterBenchDeterministic: two fresh runs agree bit for bit.
 func TestClusterBenchDeterministic(t *testing.T) {
-	a, err := ClusterBenchRecord(2)
+	a, err := clusterRun(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ClusterBenchRecord(2)
+	b, err := clusterRun(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Errorf("records differ across runs:\n%+v\n%+v", a, b)
+		t.Errorf("runs differ:\n%+v\n%+v", a, b)
 	}
 }
 

@@ -114,12 +114,12 @@ func TestCompareReportGolden(t *testing.T) {
 }
 
 // TestCompareAgainstCommittedBaseline replays the real gate: fresh
-// BenchRecords against the committed BENCH_PR3.json must not regress.
+// BenchRecords against the committed BENCH_PR10.json must not regress.
 func TestCompareAgainstCommittedBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark grid in -short mode")
 	}
-	baseline, err := ReadBenchRecords("../../BENCH_PR3.json")
+	baseline, err := ReadBenchRecords("../../BENCH_PR10.json")
 	if err != nil {
 		t.Fatal(err)
 	}

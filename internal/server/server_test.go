@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"moment/internal/obs"
+	"moment/internal/topology"
 )
 
 // fakeResult builds a small but fully-populated planResult template.
@@ -616,6 +618,13 @@ func TestBadRequests(t *testing.T) {
 		{"bad spec", `{"machine_spec":"gibberish","workload":{"dataset":"PA"}}`, http.StatusBadRequest},
 		{"negative deadline", `{"machine":"B","workload":{"dataset":"PA"},"deadline_ms":-5}`, http.StatusBadRequest},
 	}
+	for _, c := range unplannableSpecs() {
+		cases = append(cases, struct {
+			name string
+			body string
+			want int
+		}{c.name, string(specBody(t, c.spec, "PA")), http.StatusBadRequest})
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			code, _, _ := postPlan(t, ts, []byte(tc.body), nil)
@@ -633,6 +642,49 @@ func TestBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/plan: status %d, want 405", resp.StatusCode)
 	}
+}
+
+// specWith returns m's spec text with its first line starting with prefix
+// replaced by line.
+func specWith(m *topology.Machine, prefix, line string) string {
+	lines := strings.Split(topology.FormatSpec(m), "\n")
+	for i, l := range lines {
+		if strings.HasPrefix(l, prefix) {
+			lines[i] = line
+			break
+		}
+	}
+	return strings.Join(lines, "\n")
+}
+
+// unplannableSpecs are machine specs that once passed validation yet
+// crashed the planner or formatted to text that does not parse back.
+func unplannableSpecs() []struct{ name, spec string } {
+	b := topology.MachineB()
+	return []struct{ name, spec string }{
+		{"spec with no name", "point 0 root"},
+		{"spec with 0 GPUs", specWith(b, "gpus", "gpus 0 mem=40GiB cachefrac=0.15")},
+		{"cachefrac NaN", specWith(b, "gpus", "gpus 4 mem=40GiB cachefrac=NaN")},
+		{"cachefrac above 1", specWith(b, "gpus", "gpus 4 mem=40GiB cachefrac=1.5")},
+		{"cachefrac below 0", specWith(b, "gpus", "gpus 4 mem=40GiB cachefrac=-0.5")},
+		{"NaN rate", specWith(b, "qpi", "qpi NaNGbps")},
+		{"infinite rate", specWith(b, "dram", "dram 256GiB InfGbps")},
+		{"NaN switch uplink", specWith(b, "point sw0", "point sw0 switch parent=rc0 uplink=NaNGbps bays=2 gpuslots=4")},
+		{"NaN IOPS", specWith(b, "ssds", "ssds 8 cap=3932GiB bw=6GiB/s iops=NaN")},
+		{"zero PCIe x4 rate", specWith(b, "pcie", "pcie x16=20GiB/s x4=0GiB/s")},
+		{"zero SSD capacity", specWith(b, "ssds", "ssds 8 cap=0GiB bw=6GiB/s iops=930000")},
+		{"NVLink without rate", topology.FormatSpec(b) + "nvlink 0 1\n"},
+	}
+}
+
+// specBody is a plan request for a machine spec on a dataset.
+func specBody(t *testing.T, spec, dataset string) []byte {
+	t.Helper()
+	b, err := json.Marshal(PlanRequest{MachineSpec: spec, Workload: WorkloadSpec{Dataset: dataset}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestDrain: a draining server refuses new work with 503, reports draining
@@ -754,6 +806,80 @@ func TestEndToEndRealPlanner(t *testing.T) {
 	if pr2.Tenant != "e2e-b" || pr2.PredictedIOSec != pr.PredictedIOSec {
 		t.Errorf("cached response mismatch: tenant=%q predicted=%v vs %v",
 			pr2.Tenant, pr2.PredictedIOSec, pr.PredictedIOSec)
+	}
+}
+
+// TestHostileSpecsRealPlanner sends the real planner specs that used to
+// take the daemon down. GPU caches that hold the whole feature set plan,
+// with every read a GPU-cache hit; specs the planner cannot plan are 400s;
+// and the daemon keeps serving.
+func TestHostileSpecsRealPlanner(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real planner runs in -short mode")
+	}
+	s := New(Config{Workers: 2})
+	t.Cleanup(func() { _ = s.Close() })
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	for _, c := range []struct{ dataset, gpus string }{
+		{"PA", "gpus 4 mem=500GiB cachefrac=1"},
+		{"CL", "gpus 4 mem=100000GiB cachefrac=1"},
+	} {
+		code, pr, _ := postPlan(t, ts, specBody(t, specWith(topology.MachineB(), "gpus", c.gpus), c.dataset), nil)
+		if code != http.StatusOK {
+			t.Fatalf("%s with %q: status %d, want 200", c.dataset, c.gpus, code)
+		}
+		if math.Abs(pr.Epoch.HitGPU-1) > 1e-9 || pr.Epoch.IOSec != 0 {
+			t.Errorf("%s with %q: GPU hit rate %v, I/O %v s; want 1 and 0", c.dataset, c.gpus, pr.Epoch.HitGPU, pr.Epoch.IOSec)
+		}
+	}
+	for _, c := range unplannableSpecs() {
+		if code, _, _ := postPlan(t, ts, specBody(t, c.spec, "PA"), nil); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", c.name, code)
+		}
+	}
+	if code, _, _ := postPlan(t, ts, planBody(t, 0), nil); code != http.StatusOK {
+		t.Errorf("after the hostile specs: status %d, want 200", code)
+	}
+}
+
+// TestPlanCacheKeysExactSpec: the plan cache keys on the exact machine.
+// Two specs that differ only in the fifth decimal of cachefrac plan apart,
+// while a named machine and its FormatSpec text share one entry.
+func TestPlanCacheKeysExactSpec(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real planner runs in -short mode")
+	}
+	s := New(Config{Workers: 2})
+	t.Cleanup(func() { _ = s.Close() })
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	b := topology.MachineB()
+	code, hi, _ := postPlan(t, ts, specBody(t, specWith(b, "gpus", "gpus 4 mem=40GiB cachefrac=0.15004"), "PA"), nil)
+	if code != http.StatusOK {
+		t.Fatalf("cachefrac=0.15004: status %d", code)
+	}
+	code, lo, _ := postPlan(t, ts, specBody(t, specWith(b, "gpus", "gpus 4 mem=40GiB cachefrac=0.14996"), "PA"), nil)
+	if code != http.StatusOK {
+		t.Fatalf("cachefrac=0.14996: status %d", code)
+	}
+	if lo.CachedPlan || lo.Epoch.EpochSec == hi.Epoch.EpochSec {
+		t.Errorf("cachefrac=0.14996 served cached=%v epoch %v s, cachefrac=0.15004 planned %v s; want a fresh plan",
+			lo.CachedPlan, lo.Epoch.EpochSec, hi.Epoch.EpochSec)
+	}
+
+	for _, m := range []*topology.Machine{topology.MachineA(), b} {
+		named, _ := json.Marshal(PlanRequest{Machine: m.Name, Workload: WorkloadSpec{Dataset: "PA"}})
+		if code, pr, _ := postPlan(t, ts, named, nil); code != http.StatusOK || pr.CachedPlan {
+			t.Fatalf("machine %s by name: status %d, want a fresh 200", m.Name, code)
+		}
+		code, pr, _ := postPlan(t, ts, specBody(t, topology.FormatSpec(m), "PA"), nil)
+		if code != http.StatusOK || !pr.CachedPlan {
+			t.Errorf("machine %s as spec text: status %d, cached %v; want the named request's entry",
+				m.Name, code, pr != nil && pr.CachedPlan)
+		}
 	}
 }
 

@@ -58,7 +58,6 @@ func MachineA() *Machine {
 		SSDIOPS:       P5510IOPS,
 		PCIeX16:       PCIe4x16,
 		PCIeX4:        PCIe4x4,
-		NVLinkBW:      NVLinkBridgeBW,
 		NumNodes:      1,
 	}
 }
@@ -90,7 +89,6 @@ func MachineB() *Machine {
 		SSDIOPS:       P5510IOPS,
 		PCIeX16:       PCIe4x16,
 		PCIeX4:        PCIe4x4,
-		NVLinkBW:      NVLinkBridgeBW,
 		NumNodes:      1,
 	}
 }

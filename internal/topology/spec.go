@@ -13,39 +13,70 @@ import (
 // FormatSpec serializes a machine to the textual spec format, the offline
 // stand-in for live lspci/dmidecode extraction. The format is line-based:
 //
-//	machine A
-//	qpi 26GiB/s
-//	dram 384GiB 36GiB/s
-//	gpus 4 mem=40GiB cachefrac=0.50
-//	ssds 8 cap=3.84TiB bw=6GiB/s iops=930000
+//	machine B
+//	qpi 20GiB/s
+//	dram 256GiB 36GiB/s
+//	gpus 4 mem=40GiB cachefrac=0.15
+//	ssds 8 cap=3932.1599999992177GiB bw=6GiB/s iops=930000
 //	pcie x16=20GiB/s x4=7GiB/s
-//	nodes 1 nic=0Gbps
-//	point rc0 root bays=4 gpuslots=0
-//	point sw0 switch parent=rc0 uplink=20GiB/s bays=4 gpuslots=4
+//	nodes 1 nic=0GiB/s
+//	point rc0 root bays=0 gpuslots=1
+//	point sw0 switch parent=rc0 uplink=20GiB/s bays=2 gpuslots=4
 //	nvlink 0 1 bw=50GiB/s
+//
+// Every number is the shortest decimal that parses back to the same value,
+// so ParseSpec(FormatSpec(m)) restores every field the format carries
+// exactly and formats to the same text again. momentd's plan cache keys on
+// this text: two machines share a key only if they plan alike.
 func FormatSpec(m *Machine) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "machine %s\n", m.Name)
-	fmt.Fprintf(&b, "qpi %.3fGiB/s\n", m.QPIBW.GiBpsf())
-	fmt.Fprintf(&b, "dram %.3fGiB %.3fGiB/s\n", m.DRAMPerSocket.GiBf(), m.DRAMBW.GiBpsf())
-	fmt.Fprintf(&b, "gpus %d mem=%.3fGiB cachefrac=%.4f\n", m.NumGPUs, m.GPUMemory.GiBf(), m.GPUCacheFrac)
-	fmt.Fprintf(&b, "ssds %d cap=%.3fGiB bw=%.3fGiB/s iops=%.0f\n",
-		m.NumSSDs, m.SSDCapacity.GiBf(), m.SSDBW.GiBpsf(), m.SSDIOPS)
-	fmt.Fprintf(&b, "pcie x16=%.3fGiB/s x4=%.3fGiB/s\n", m.PCIeX16.GiBpsf(), m.PCIeX4.GiBpsf())
-	fmt.Fprintf(&b, "nodes %d nic=%.3fGiB/s\n", m.NumNodes, m.NICBW.GiBpsf())
+	// A catalog machine's text fits the stack buffer, so the returned
+	// string is the only allocation.
+	var buf [1024]byte
+	b := append(buf[:0], "machine "...)
+	b = append(b, m.Name...)
+	b = append(b, "\nqpi "...)
+	b = appendGiB(b, float64(m.QPIBW), "GiB/s\ndram ")
+	b = appendGiB(b, float64(m.DRAMPerSocket), "GiB ")
+	b = appendGiB(b, float64(m.DRAMBW), "GiB/s\ngpus ")
+	b = strconv.AppendInt(b, int64(m.NumGPUs), 10)
+	b = appendGiB(append(b, " mem="...), float64(m.GPUMemory), "GiB cachefrac=")
+	b = strconv.AppendFloat(b, m.GPUCacheFrac, 'f', -1, 64)
+	b = strconv.AppendInt(append(b, "\nssds "...), int64(m.NumSSDs), 10)
+	b = appendGiB(append(b, " cap="...), float64(m.SSDCapacity), "GiB bw=")
+	b = appendGiB(b, float64(m.SSDBW), "GiB/s iops=")
+	b = strconv.AppendFloat(b, m.SSDIOPS, 'f', -1, 64)
+	b = appendGiB(append(b, "\npcie x16="...), float64(m.PCIeX16), "GiB/s x4=")
+	b = appendGiB(b, float64(m.PCIeX4), "GiB/s\nnodes ")
+	b = strconv.AppendInt(b, int64(m.NumNodes), 10)
+	b = appendGiB(append(b, " nic="...), float64(m.NICBW), "GiB/s\n")
 	for _, p := range m.Points {
 		switch p.Kind {
 		case RootComplex:
-			fmt.Fprintf(&b, "point %s root bays=%d gpuslots=%d\n", p.ID, p.Bays, p.GPUSlots)
+			b = append(append(append(b, "point "...), p.ID...), " root"...)
 		case Switch:
-			fmt.Fprintf(&b, "point %s switch parent=%s uplink=%.3fGiB/s bays=%d gpuslots=%d\n",
-				p.ID, p.Parent, p.UplinkBW.GiBpsf(), p.Bays, p.GPUSlots)
+			b = append(append(append(b, "point "...), p.ID...), " switch parent="...)
+			b = appendGiB(append(append(b, p.Parent...), " uplink="...), float64(p.UplinkBW), "GiB/s")
+		default:
+			continue
 		}
+		b = strconv.AppendInt(append(b, " bays="...), int64(p.Bays), 10)
+		b = strconv.AppendInt(append(b, " gpuslots="...), int64(p.GPUSlots), 10)
+		b = append(b, '\n')
 	}
 	for _, nv := range m.NVLinks {
-		fmt.Fprintf(&b, "nvlink %d %d bw=%.3fGiB/s\n", nv.A, nv.B, m.NVLinkBW.GiBpsf())
+		b = strconv.AppendInt(append(b, "nvlink "...), int64(nv.A), 10)
+		b = strconv.AppendInt(append(b, ' '), int64(nv.B), 10)
+		b = appendGiB(append(b, " bw="...), float64(m.NVLinkBW), "GiB/s\n")
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendGiB appends v, a byte count or a rate in bytes per second, in GiB
+// as the shortest decimal that parses back to v, then suffix. It writes no
+// exponent, because units.ParseBytes reads none.
+func appendGiB(b []byte, v float64, suffix string) []byte {
+	b = strconv.AppendFloat(b, v/float64(units.GiB), 'f', -1, 64)
+	return append(b, suffix...)
 }
 
 // ParseSpec reads a machine spec produced by FormatSpec (or hand-written).

@@ -11,6 +11,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"moment/internal/units"
@@ -173,34 +174,45 @@ func (m *Machine) Depth(id string) (int, error) {
 	}
 }
 
-// Validate checks structural invariants: unique IDs, valid parents, at least
-// one root complex, acyclic switch tree, sane inventory.
+// Validate checks structural invariants (a name, unique IDs, valid
+// parents, at least one root complex and none with an uplink, an acyclic
+// switch tree, at least one GPU and an inventory that fits the slots) and
+// the figures the planner divides by: every rate, size and IOPS value is
+// finite, every link rate is positive, the SSD figures are positive when
+// there are SSDs, the NVLink rate is positive when there are NVLinks, and
+// the GPU cache fraction lies in [0,1].
 func (m *Machine) Validate() error {
+	if m.Name == "" {
+		return fmt.Errorf("topology: machine has no name")
+	}
 	if len(m.Points) == 0 {
 		return fmt.Errorf("topology: %s has no attach points", m.Name)
 	}
-	ids := make(map[string]bool, len(m.Points))
+	index := make(map[string]int, len(m.Points))
 	rcs := 0
-	for _, p := range m.Points {
+	for i, p := range m.Points {
 		if p.ID == "" {
 			return fmt.Errorf("topology: %s has an unnamed attach point", m.Name)
 		}
-		if ids[p.ID] {
+		if _, dup := index[p.ID]; dup {
 			return fmt.Errorf("topology: duplicate attach point %q", p.ID)
 		}
-		ids[p.ID] = true
+		index[p.ID] = i
 		switch p.Kind {
 		case RootComplex:
 			rcs++
 			if p.Parent != "" {
 				return fmt.Errorf("topology: root complex %q has a parent", p.ID)
 			}
+			if p.UplinkBW != 0 {
+				return fmt.Errorf("topology: root complex %q has an uplink", p.ID)
+			}
 		case Switch:
 			if p.Parent == "" {
 				return fmt.Errorf("topology: switch %q has no parent", p.ID)
 			}
-			if p.UplinkBW <= 0 {
-				return fmt.Errorf("topology: switch %q has no uplink bandwidth", p.ID)
+			if up := float64(p.UplinkBW); !(up > 0) || math.IsInf(up, 1) {
+				return fmt.Errorf("topology: switch %q uplink rate %v is not positive and finite", p.ID, up)
 			}
 		default:
 			return fmt.Errorf("topology: attach point %q has device kind %v", p.ID, p.Kind)
@@ -212,19 +224,39 @@ func (m *Machine) Validate() error {
 	if rcs == 0 {
 		return fmt.Errorf("topology: %s has no root complex", m.Name)
 	}
+	// up[i] is the index of point i's parent, or -1 once point i is known
+	// to hang off a root complex. Each walk marks the points it passed, so
+	// a deep cascade validates in linear time, not one walk per switch.
+	var buf [32]int
+	up := buf[:0]
 	for _, p := range m.Points {
-		if p.Kind != Switch {
+		if p.Kind == RootComplex {
+			up = append(up, -1)
 			continue
 		}
-		if !ids[p.Parent] {
+		j, ok := index[p.Parent]
+		if !ok {
 			return fmt.Errorf("topology: switch %q parent %q unknown", p.ID, p.Parent)
 		}
-		if _, err := m.Socket(p.ID); err != nil {
-			return err
+		up = append(up, j)
+	}
+	for i := range up {
+		for j, steps := i, 0; up[j] >= 0; j = up[j] {
+			if steps++; steps > len(up) {
+				return fmt.Errorf("topology: cycle at %q on %s", m.Points[j].ID, m.Name)
+			}
+		}
+		for j := i; up[j] >= 0; {
+			next := up[j]
+			up[j] = -1
+			j = next
 		}
 	}
-	if m.NumGPUs < 0 || m.NumSSDs < 0 {
-		return fmt.Errorf("topology: %s has negative device counts", m.Name)
+	if m.NumGPUs < 1 {
+		return fmt.Errorf("topology: %s has %d GPUs, want at least 1", m.Name, m.NumGPUs)
+	}
+	if m.NumSSDs < 0 {
+		return fmt.Errorf("topology: %s has a negative SSD count", m.Name)
 	}
 	if g, s := m.TotalGPUSlots(), m.TotalBays(); m.NumGPUs > g || m.NumSSDs > s {
 		return fmt.Errorf("topology: %s inventory (%d GPUs, %d SSDs) exceeds slots (%d, %d)",
@@ -233,6 +265,31 @@ func (m *Machine) Validate() error {
 	for _, nv := range m.NVLinks {
 		if nv.A < 0 || nv.B < 0 || nv.A >= m.NumGPUs || nv.B >= m.NumGPUs || nv.A == nv.B {
 			return fmt.Errorf("topology: bad NVLink pair (%d,%d)", nv.A, nv.B)
+		}
+	}
+	if !(m.GPUCacheFrac >= 0 && m.GPUCacheFrac <= 1) {
+		return fmt.Errorf("topology: %s GPU cache fraction %v outside [0,1]", m.Name, m.GPUCacheFrac)
+	}
+	for _, f := range []struct {
+		name     string
+		v        float64
+		positive bool // must be > 0, not just finite
+	}{
+		{"QPI rate", float64(m.QPIBW), true},
+		{"DRAM rate", float64(m.DRAMBW), true},
+		{"PCIe x16 rate", float64(m.PCIeX16), true},
+		{"PCIe x4 rate", float64(m.PCIeX4), true},
+		{"SSD rate", float64(m.SSDBW), m.NumSSDs > 0},
+		{"SSD IOPS", m.SSDIOPS, m.NumSSDs > 0},
+		{"SSD capacity", float64(m.SSDCapacity), m.NumSSDs > 0},
+		{"NVLink rate", float64(m.NVLinkBW), len(m.NVLinks) > 0},
+		{"NIC rate", float64(m.NICBW), false},
+	} {
+		if math.IsInf(f.v, 0) || math.IsNaN(f.v) {
+			return fmt.Errorf("topology: %s %s %v is not finite", m.Name, f.name, f.v)
+		}
+		if f.positive && f.v <= 0 {
+			return fmt.Errorf("topology: %s %s %v is not positive", m.Name, f.name, f.v)
 		}
 	}
 	return nil

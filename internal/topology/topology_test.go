@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -251,43 +252,34 @@ func TestWithGPUsDropsNVLinks(t *testing.T) {
 	}
 }
 
+// TestSpecRoundTrip: ParseSpec(FormatSpec(m)) is m, field for field, for
+// every catalog machine with and without NVLink bridges, and formats to
+// the same text again.
 func TestSpecRoundTrip(t *testing.T) {
-	for _, mk := range []func() *Machine{MachineA, MachineB, MachineC} {
-		m := mk()
+	var machines []*Machine
+	for _, m := range MachineCatalog() {
+		machines = append(machines, m)
 		if m.NumGPUs >= 2 {
-			m = m.WithNVLink(NVLinkBridgeBW, NVLinkPair{0, 1})
+			machines = append(machines, m.WithNVLink(NVLinkBridgeBW, NVLinkPair{0, 1}))
 		}
+	}
+	for _, m := range machines {
 		spec := FormatSpec(m)
 		got, err := ParseSpec(strings.NewReader(spec))
 		if err != nil {
 			t.Fatalf("%s: parse: %v\nspec:\n%s", m.Name, err, spec)
 		}
-		if got.Name != m.Name || got.NumGPUs != m.NumGPUs || got.NumSSDs != m.NumSSDs {
-			t.Errorf("%s: identity lost: %+v", m.Name, got)
+		if !reflect.DeepEqual(got, m) {
+			t.Errorf("%s: round trip changed the machine:\n got %+v\nwant %+v", m.Name, got, m)
 		}
-		if len(got.Points) != len(m.Points) {
-			t.Fatalf("%s: point count %d != %d", m.Name, len(got.Points), len(m.Points))
-		}
-		for i := range m.Points {
-			a, b := m.Points[i], got.Points[i]
-			if a.ID != b.ID || a.Kind != b.Kind || a.Parent != b.Parent ||
-				a.Bays != b.Bays || a.GPUSlots != b.GPUSlots {
-				t.Errorf("%s: point %d mismatch: %+v vs %+v", m.Name, i, a, b)
-			}
-			if d := (a.UplinkBW - b.UplinkBW).GiBpsf(); d > 0.01 || d < -0.01 {
-				t.Errorf("%s: point %d uplink %v vs %v", m.Name, i, a.UplinkBW, b.UplinkBW)
-			}
-		}
-		if len(got.NVLinks) != len(m.NVLinks) {
-			t.Errorf("%s: nvlinks %v vs %v", m.Name, got.NVLinks, m.NVLinks)
-		}
-		if d := got.QPIBW.GiBpsf() - m.QPIBW.GiBpsf(); d > 0.01 || d < -0.01 {
-			t.Errorf("%s: qpi %v vs %v", m.Name, got.QPIBW, m.QPIBW)
+		if again := FormatSpec(got); again != spec {
+			t.Errorf("%s: FormatSpec is not a fixpoint:\n%s\nthen\n%s", m.Name, spec, again)
 		}
 	}
 }
 
 func TestParseSpecErrors(t *testing.T) {
+	b := FormatSpec(MachineB())
 	bad := []string{
 		"bogus directive",
 		"machine",
@@ -306,6 +298,30 @@ func TestParseSpecErrors(t *testing.T) {
 		"nvlink 0 x",
 		"nodes",
 		"machine X\npoint rc0 root bays=0 gpuslots=0\npoint sw0 switch parent=ghost uplink=1GiB bays=0 gpuslots=0",
+		// Specs the planner cannot plan, or whose FormatSpec text would
+		// not parse back.
+		"point 0 root",
+		withLine(b, "gpus", "gpus 0 mem=40GiB cachefrac=0.15"),
+		withLine(b, "gpus", "gpus 4 mem=40GiB cachefrac=NaN"),
+		withLine(b, "gpus", "gpus 4 mem=40GiB cachefrac=1.5"),
+		withLine(b, "gpus", "gpus 4 mem=40GiB cachefrac=-0.1"),
+		withLine(b, "qpi", "qpi NaNGbps"),
+		withLine(b, "dram", "dram 256GiB +InfGbps"),
+		withLine(b, "point sw0", "point sw0 switch parent=rc0 uplink=NaNGbps bays=2 gpuslots=4"),
+		withLine(b, "pcie", "pcie x16=1"+strings.Repeat("0", 300)+"GiB/s x4=7GiB/s"),
+		withLine(b, "nodes", "nodes 1 nic=NaNGbps"),
+		withLine(b, "ssds", "ssds 8 cap=3932GiB bw=6GiB/s iops=NaN"),
+		withLine(b, "ssds", "ssds 8 cap=3932GiB bw=6GiB/s iops=Inf"),
+		withLine(b, "qpi", "qpi 0GiB/s"),
+		withLine(b, "dram", "dram 256GiB 0GiB/s"),
+		withLine(b, "pcie", "pcie x16=0GiB/s x4=7GiB/s"),
+		withLine(b, "pcie", "pcie x16=20GiB/s x4=-7GiB/s"),
+		withLine(b, "point sw0", "point sw0 switch parent=rc0 uplink=0GiB/s bays=2 gpuslots=4"),
+		withLine(b, "point rc0", "point rc0 root uplink=20GiB/s bays=0 gpuslots=1"),
+		withLine(b, "ssds", "ssds 8 cap=3932GiB bw=0GiB/s iops=930000"),
+		withLine(b, "ssds", "ssds 8 cap=3932GiB bw=6GiB/s iops=0"),
+		withLine(b, "ssds", "ssds 8 cap=0GiB bw=6GiB/s iops=930000"),
+		b + "nvlink 0 1",
 	}
 	for i, s := range bad {
 		if _, err := ParseSpec(strings.NewReader(s)); err == nil {
@@ -355,15 +371,5 @@ func TestVendorMachinesValid(t *testing.T) {
 	sm := Supermicro420GP()
 	if sm.TotalGPUSlots() != 8 || sm.TotalBays() != 16 {
 		t.Errorf("supermicro slots %d bays %d", sm.TotalGPUSlots(), sm.TotalBays())
-	}
-	// Spec round trip covers the vendor machines too.
-	for _, m := range []*Machine{sm, f} {
-		back, err := ParseSpec(strings.NewReader(FormatSpec(m)))
-		if err != nil {
-			t.Fatalf("%s: %v", m.Name, err)
-		}
-		if back.Name != m.Name || len(back.Points) != len(m.Points) {
-			t.Errorf("%s spec round trip lost structure", m.Name)
-		}
 	}
 }

@@ -37,7 +37,6 @@ func Supermicro420GP() *Machine {
 		SSDIOPS:       P5510IOPS,
 		PCIeX16:       PCIe4x16,
 		PCIeX4:        PCIe4x4,
-		NVLinkBW:      NVLinkBridgeBW,
 		NumNodes:      1,
 	}
 }
@@ -68,7 +67,6 @@ func H3Falcon4016() *Machine {
 		SSDIOPS:       P5510IOPS,
 		PCIeX16:       PCIe4x16,
 		PCIeX4:        PCIe4x4,
-		NVLinkBW:      NVLinkBridgeBW,
 		NumNodes:      1,
 	}
 }

@@ -319,6 +319,9 @@ func buildPlan(cfg Config) (*plan, *Result, error) {
 	perGPUFetch := fetchEpoch / float64(nGPU)
 
 	// ---- Max-flow prediction (§3.2) ------------------------------------
+	// Each GPU's fabric demand is the fetch its local cache misses. When
+	// the caches hold the whole feature set the hit mass sums the hotness
+	// to 1 plus rounding, so clamp at 0 the way ssdMass is clamped.
 	dem := &flownet.Demand{
 		PerGPU:   make([]float64, nGPU),
 		DRAM:     map[string]float64{},
@@ -328,7 +331,7 @@ func buildPlan(cfg Config) (*plan, *Result, error) {
 	case CachePartitioned:
 		localShare := gpuMass / float64(nGPU)
 		for g := range dem.PerGPU {
-			dem.PerGPU[g] = perGPUFetch * (1 - localShare)
+			dem.PerGPU[g] = math.Max(0, perGPUFetch*(1-localShare))
 		}
 		dem.HBMPeer = make([]float64, nGPU)
 		for g := range dem.HBMPeer {
@@ -337,14 +340,14 @@ func buildPlan(cfg Config) (*plan, *Result, error) {
 	case CachePaired:
 		dem.HBMPeer = make([]float64, nGPU)
 		for g := range dem.PerGPU {
-			dem.PerGPU[g] = perGPUFetch * (1 - localHit[g])
+			dem.PerGPU[g] = math.Max(0, perGPUFetch*(1-localHit[g]))
 			if partner[g] >= 0 {
 				dem.HBMPeer[g] = nvlHit[partner[g]] * perGPUFetch
 			}
 		}
 	default:
 		for g := range dem.PerGPU {
-			dem.PerGPU[g] = perGPUFetch * (1 - localHit[g])
+			dem.PerGPU[g] = math.Max(0, perGPUFetch*(1-localHit[g]))
 		}
 	}
 	for _, rc := range rcs {

@@ -63,6 +63,12 @@ func (b Bytes) String() string {
 // Decimal and binary suffixes are both treated as binary multiples, matching
 // the paper's loose usage of GB/GiB.
 func ParseBytes(s string) (Bytes, error) {
+	v, err := parseBytes(s)
+	return Bytes(v), err
+}
+
+// parseBytes is ParseBytes before the size is truncated to whole bytes.
+func parseBytes(s string) (float64, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return 0, fmt.Errorf("units: empty byte size")
@@ -93,7 +99,7 @@ func ParseBytes(s string) (Bytes, error) {
 	default:
 		return 0, fmt.Errorf("units: bad byte unit %q", unitPart)
 	}
-	return Bytes(v * mult), nil
+	return v * mult, nil
 }
 
 // Bandwidth is a transfer rate in bytes per second.
@@ -188,7 +194,9 @@ func Rate(n Bytes, d Duration) Bandwidth {
 
 // ParseBandwidth parses rates like "20GiB/s", "6GB/s", "100Gbps", "36GiB".
 // A bare byte-size is interpreted as that size per second; "Gbps"/"Mbps"
-// are decimal bits per second.
+// are decimal bits per second. Rates keep fractions of a byte per second,
+// so a rate formatted as the shortest decimal of its GiB/s parses back to
+// the same value.
 func ParseBandwidth(s string) (Bandwidth, error) {
 	t := strings.TrimSpace(s)
 	lower := strings.ToLower(t)
@@ -207,9 +215,9 @@ func ParseBandwidth(s string) (Bandwidth, error) {
 		return Bandwidth(v * 1e6 / 8), nil
 	}
 	t = strings.TrimSuffix(t, "/s")
-	b, err := ParseBytes(t)
+	v, err := parseBytes(t)
 	if err != nil {
 		return 0, fmt.Errorf("units: bad bandwidth %q: %w", s, err)
 	}
-	return Bandwidth(b), nil
+	return Bandwidth(v), nil
 }

@@ -28,7 +28,6 @@ import (
 
 	"moment/internal/baselines"
 	"moment/internal/core"
-	"moment/internal/experiments"
 	"moment/internal/faults"
 	"moment/internal/gnn"
 	"moment/internal/graph"
@@ -70,8 +69,6 @@ type (
 	// ScoreCache memoizes candidate scores across placement searches (set
 	// it as SearchOptions.Cache; safe to share between searches).
 	ScoreCache = scorecache.Scores
-	// Table is a regenerated paper figure or table.
-	Table = experiments.Table
 )
 
 // NewScoreCache returns a bounded LRU score cache holding up to max
@@ -209,32 +206,6 @@ var (
 
 // DefaultDistDGL returns the calibrated cluster configuration.
 func DefaultDistDGL() baselines.DistDGLConfig { return baselines.DefaultDistDGL() }
-
-// Experiments regenerates every paper table and figure in order.
-func Experiments() ([]*Table, error) { return experiments.All() }
-
-// BenchRecord is one machine-readable benchmark data point.
-type BenchRecord = experiments.BenchRecord
-
-// BenchRecords simulates the core benchmark grid (machines A/B × classic
-// layouts + the Moment-searched placement) and returns one JSON-ready
-// record per configuration.
-func BenchRecords() ([]BenchRecord, error) { return experiments.BenchRecords() }
-
-// CompareReport is a per-experiment diff of two benchmark record sets.
-type CompareReport = experiments.CompareReport
-
-// CompareBench diffs fresh benchmark records against a committed baseline
-// on epoch time. threshold is the relative slowdown treated as a
-// regression (<=0 defaults to 10%); CompareReport.Err is the CI gate.
-func CompareBench(baseline, newRecs []BenchRecord, threshold float64) *CompareReport {
-	return experiments.CompareBench(baseline, newRecs, threshold)
-}
-
-// ReadBenchRecords loads a committed BENCH_*.json record set.
-func ReadBenchRecords(path string) ([]BenchRecord, error) {
-	return experiments.ReadBenchRecords(path)
-}
 
 // EnableSelfChecks turns on planner self-verification: every flow solve,
 // placement search, and DDAK layout audits its own output (max-flow

@@ -1,6 +1,7 @@
 package moment
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -15,6 +16,35 @@ func TestOptimizeQuickstart(t *testing.T) {
 	}
 	if !strings.Contains(plan.Report(), "selected placement") {
 		t.Error("report incomplete")
+	}
+}
+
+// TestOptimizeWholeFeatureSetCached plans machines whose GPU caches hold
+// the whole feature set. The cache hit mass sums the hotness to 1 plus
+// rounding, which once drove the per-GPU fabric demand below zero and
+// panicked the max-flow solver.
+func TestOptimizeWholeFeatureSetCached(t *testing.T) {
+	for _, c := range []struct{ dataset, gpus string }{
+		{"PA", "gpus 4 mem=500GiB cachefrac=1"},
+		{"CL", "gpus 4 mem=100000GiB cachefrac=1"},
+	} {
+		lines := strings.Split(FormatMachine(MachineB()), "\n")
+		for i, l := range lines {
+			if strings.HasPrefix(l, "gpus ") {
+				lines[i] = c.gpus
+			}
+		}
+		m, err := ParseMachine(strings.NewReader(strings.Join(lines, "\n")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := Optimize(m, Workload{Dataset: MustDataset(c.dataset), Model: GraphSAGE})
+		if err != nil {
+			t.Fatalf("%s with %q: %v", c.dataset, c.gpus, err)
+		}
+		if math.Abs(plan.Epoch.HitGPU-1) > 1e-9 || plan.Epoch.IOTime != 0 {
+			t.Errorf("%s with %q: GPU hit rate %v, I/O %v; want 1 and 0", c.dataset, c.gpus, plan.Epoch.HitGPU, plan.Epoch.IOTime)
+		}
 	}
 }
 

@@ -1,14 +1,13 @@
 package moment
 
 // Serving-layer re-exports: the planner-as-a-service daemon (momentd), its
-// request/response schema, the shared observability exposition handlers,
-// and the multi-tenant load-test harness.
+// request/response schema and the shared observability exposition
+// handlers.
 
 import (
 	"net/http"
 
 	"moment/internal/server"
-	"moment/internal/server/loadtest"
 )
 
 type (
@@ -32,19 +31,10 @@ type (
 	// provenance trail for one request, byte-deterministic for a fixed
 	// problem.
 	ExplainResponse = server.ExplainResponse
-
-	// LoadTestConfig / LoadTestRecord drive and report the synthetic
-	// multi-tenant load harness.
-	LoadTestConfig = loadtest.Config
-	LoadTestRecord = loadtest.Record
 )
 
 // NewPlanServer starts a planning service (workers are live on return).
 func NewPlanServer(cfg PlanServerConfig) *PlanServer { return server.New(cfg) }
-
-// RunLoadTest drives a zipf-skewed synthetic tenant mix against a fresh
-// in-process PlanServer and reports coalescing/shedding/latency accounting.
-func RunLoadTest(cfg LoadTestConfig) (*LoadTestRecord, error) { return loadtest.Run(cfg) }
 
 // MetricsHandler serves an observer's registry as Prometheus text; nil uses
 // the process default observer.
