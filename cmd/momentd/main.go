@@ -18,9 +18,9 @@
 //	GET  /healthz      200 ok, 503 while draining
 //
 // With -watchdog-dir, an anomaly watchdog checks the metrics registry on a
-// timer (shed storms, queue saturation, epoch-time regressions, warm-abort
-// storms) and on a trip snapshots the flight ring + metrics + profiles
-// into a timestamped diagnostics bundle under that directory.
+// timer (shed storms, queue saturation, epoch-time regressions) and on a
+// trip snapshots the flight ring + metrics + profiles into a timestamped
+// diagnostics bundle under that directory.
 //
 // SIGINT/SIGTERM triggers a graceful drain: intake stops (new plans get
 // 503, /healthz flips so load balancers eject the instance), queued

@@ -19,7 +19,6 @@ import (
 
 	"moment/internal/ddak"
 	"moment/internal/obs"
-	"moment/internal/scorecache"
 )
 
 // Monitor keeps exponentially-decayed per-item access counts.
@@ -27,7 +26,6 @@ type Monitor struct {
 	counts []float64
 	factor float64 // per-tick decay multiplier
 	total  float64
-	gen    uint64 // bumped whenever an observation lands
 }
 
 // NewMonitor tracks n items with the given half-life (in ticks; a tick is
@@ -55,7 +53,6 @@ func (m *Monitor) Observe(item int32, weight float64) error {
 	}
 	m.counts[item] += weight
 	m.total += weight
-	m.gen++
 	return nil
 }
 
@@ -75,17 +72,8 @@ func (m *Monitor) ObserveWeights(weights []float64) error {
 		m.counts[i] += w
 		m.total += w
 	}
-	m.gen++
 	return nil
 }
-
-// Gen returns the observation generation: it changes exactly when an
-// observation lands (Observe/ObserveBatch/ObserveWeights) and NOT on
-// Tick — decay multiplies every count and the total by the same factor,
-// so the normalized Hotness distribution is unchanged by Tick alone.
-// Callers that act on Hotness (drift checks, replanning) can therefore
-// skip all work while Gen is stable.
-func (m *Monitor) Gen() uint64 { return m.gen }
 
 // ObserveBatch credits one access per listed item (one mini-batch's
 // fetches) and then advances the decay clock by one tick.
@@ -172,18 +160,6 @@ type Migration struct {
 	Assignment *ddak.ItemAssignment
 }
 
-// Layouts is a bounded LRU of memoized DDAK layouts keyed by a fingerprint
-// of everything that determines one: hotness, item sizes, the bin set, and
-// the pooling/traffic parameters. Fault-recovery cycles rotate among a
-// small set of bin configurations (healthy, ssd0-dead, link-degraded, ...),
-// so Rebin replans into a previously seen configuration become lookups.
-type Layouts = scorecache.Cache[uint64, *ddak.ItemAssignment]
-
-// NewLayouts returns a layout LRU with the given bound (<=0 disables).
-func NewLayouts(max int) *Layouts {
-	return scorecache.New[uint64, *ddak.ItemAssignment](max)
-}
-
 // Replanner owns a DDAK layout and refreshes it when the observed access
 // distribution drifts beyond Threshold.
 type Replanner struct {
@@ -192,21 +168,6 @@ type Replanner struct {
 	TrafficScale float64
 	// Threshold is the TV drift that triggers re-placement (e.g. 0.1).
 	Threshold float64
-	// Cache, when non-nil, memoizes layouts across replans (and across
-	// Replanners sharing it). Entries are cloned on both insert and hit, so
-	// callers may mutate returned assignments freely.
-	Cache *Layouts
-	// ScheduleKey salts the layout fingerprint with the fault schedule the
-	// replanner is operating under (e.g. faults.Format output). Replanners
-	// for different schedules can then share one Layouts cache without a
-	// degraded run's layouts leaking into a healthy one whose bins happen
-	// to fingerprint identically. Set it together with Cache, before the
-	// first cached place().
-	ScheduleKey string
-	// Explain, when non-nil, receives one provenance step per replanning
-	// decision: drift checks (tripped or not), forced rebins, and layout
-	// cache hits. Seq is the replanner's decision counter.
-	Explain *obs.Explain
 	// DeltaBudget, when positive, routes drift replans through
 	// ddak.PlaceItemsDelta: only items whose hotness rank crossed a bin
 	// boundary move, and the delta falls back to a full re-solve when it
@@ -228,15 +189,6 @@ type Replanner struct {
 	curItems  []ddak.Item // items that produced current (delta's prev)
 	planned   []float64   // hotness snapshot at last re-placement
 	replans   int
-	cacheHits int
-	decisions int // explain step counter (one per Maybe/Rebin)
-
-	// Steady-state memo for MaybeMonitor: while the monitor's generation
-	// is unchanged no hotness is recomputed, no TV taken, no key hashed.
-	lastGen uint64
-	haveGen bool
-	lastMig Migration
-	liveBuf []float64
 }
 
 // NewReplanner plans the initial layout from the offline hotness estimate.
@@ -273,55 +225,9 @@ func (r *Replanner) buildItems(hot []float64) []ddak.Item {
 	return items
 }
 
+// place runs a full DDAK solve of hot over the current bins.
 func (r *Replanner) place(hot []float64) (*ddak.ItemAssignment, error) {
-	var key uint64
-	if r.Cache != nil {
-		key = r.layoutKey(hot)
-		if a, ok := r.Cache.Get(key); ok {
-			r.cacheHits++
-			r.Explain.Add(obs.ExplainStep{Seq: r.decisions, Stage: "replan", Reason: "layout-cache-hit"})
-			return cloneAssignment(a), nil
-		}
-	}
-	items := make([]ddak.Item, len(hot))
-	for i := range items {
-		items[i] = ddak.Item{Hot: hot[i], Bytes: r.itemBytes[i]}
-	}
-	a, err := ddak.PlaceItems(items, r.Bins, r.PoolN, r.TrafficScale)
-	if err != nil {
-		return nil, err
-	}
-	if r.Cache != nil {
-		r.Cache.Put(key, cloneAssignment(a))
-	}
-	return a, nil
-}
-
-// layoutKey fingerprints everything place() depends on.
-func (r *Replanner) layoutKey(hot []float64) uint64 {
-	h := scorecache.NewHasher()
-	h.Floats(hot).Floats(r.itemBytes)
-	h.Uint(uint64(len(r.Bins)))
-	for _, b := range r.Bins {
-		h.String(b.Name)
-		h.Uint(uint64(b.Tier))
-		h.Float(b.Capacity).Float(b.Traffic)
-	}
-	h.Uint(uint64(r.PoolN)).Float(r.TrafficScale)
-	h.String(r.ScheduleKey)
-	return h.Sum()
-}
-
-// cloneAssignment deep-copies an assignment so cached layouts stay isolated
-// from caller mutation.
-func cloneAssignment(a *ddak.ItemAssignment) *ddak.ItemAssignment {
-	return &ddak.ItemAssignment{
-		Bins:   append([]ddak.Bin(nil), a.Bins...),
-		Of:     append([]int32(nil), a.Of...),
-		Used:   append([]float64(nil), a.Used...),
-		Access: append([]float64(nil), a.Access...),
-		Pools:  a.Pools,
-	}
+	return ddak.PlaceItems(r.buildItems(hot), r.Bins, r.PoolN, r.TrafficScale)
 }
 
 // Current returns the layout in force.
@@ -329,9 +235,6 @@ func (r *Replanner) Current() *ddak.ItemAssignment { return r.current }
 
 // Replans counts completed re-placements.
 func (r *Replanner) Replans() int { return r.replans }
-
-// CacheHits counts place() calls served from the layout cache.
-func (r *Replanner) CacheHits() int { return r.cacheHits }
 
 // Maybe checks the live hotness estimate against the planning-time
 // snapshot and re-places when drift exceeds the threshold.
@@ -341,37 +244,9 @@ func (r *Replanner) Maybe(live []float64) (*Migration, error) {
 		return nil, err
 	}
 	if drift < r.Threshold {
-		r.decisions++
-		mig := &Migration{Drift: drift, Assignment: r.current}
-		r.Explain.Add(obs.ExplainStep{Seq: r.decisions, Stage: "replan", Reason: "below-threshold", Value: drift})
-		return mig, nil
+		return &Migration{Drift: drift, Assignment: r.current}, nil
 	}
 	return r.Replan(live)
-}
-
-// MaybeMonitor is Maybe fed straight from a Monitor, with a generation
-// dirty check: while the monitor has observed nothing since the last
-// call, the previous decision is returned as-is — no hotness vector is
-// materialized, no TV distance computed, no layout key hashed, nothing
-// allocated. Tick-only epochs qualify (decay rescales counts and total
-// together, leaving the normalized distribution untouched), so a
-// no-drift steady state is completely free.
-func (r *Replanner) MaybeMonitor(m *Monitor) (*Migration, error) {
-	if m == nil {
-		return nil, fmt.Errorf("adaptive: nil monitor")
-	}
-	if r.haveGen && m.Gen() == r.lastGen {
-		return &r.lastMig, nil
-	}
-	r.liveBuf = m.HotnessInto(r.liveBuf)
-	mig, err := r.Maybe(r.liveBuf)
-	if err != nil {
-		return nil, err
-	}
-	r.lastGen = m.Gen()
-	r.haveGen = true
-	r.lastMig = *mig
-	return mig, nil
 }
 
 // Replan forces a re-placement onto the live distribution regardless of
@@ -386,13 +261,10 @@ func (r *Replanner) Replan(live []float64) (*Migration, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.decisions++
 	mig := &Migration{Drift: drift, Assignment: r.current}
 	items := r.buildItems(live)
 	var next *ddak.ItemAssignment
 	if r.DeltaBudget > 0 {
-		// Delta results depend on the previous layout, so they bypass
-		// the fingerprint-keyed layout cache entirely.
 		res, err := ddak.PlaceItemsDelta(r.curItems, r.current, items, r.Bins, r.PoolN, r.TrafficScale,
 			ddak.DeltaOptions{MaxMoveFrac: r.DeltaBudget, Observer: r.Observer})
 		if err != nil {
@@ -435,7 +307,6 @@ func (r *Replanner) Replan(live []float64) (*Migration, error) {
 			mig.Incremental = false
 			mig.FellBack = false
 			mig.Assignment = r.current
-			r.Explain.Add(obs.ExplainStep{Seq: r.decisions, Stage: "replan", Reason: "payback-skip", Value: mig.ProjectedSavedBytes})
 			if o := r.Observer; o != nil {
 				o.Counter("adaptive_replans_skipped_total").Add(1)
 			}
@@ -448,7 +319,6 @@ func (r *Replanner) Replan(live []float64) (*Migration, error) {
 	r.curItems = items
 	r.planned = append(r.planned[:0], live...)
 	r.replans++
-	r.Explain.Add(obs.ExplainStep{Seq: r.decisions, Stage: "replan", Reason: "drift-replanned", Value: drift, Count: mig.MovedItems})
 	if o := r.Observer; o != nil {
 		mode := "full"
 		if mig.Incremental {
@@ -471,7 +341,6 @@ func (r *Replanner) Replan(live []float64) (*Migration, error) {
 func (r *Replanner) Rebin(bins []ddak.Bin) (*Migration, error) {
 	old := r.current
 	r.Bins = bins
-	r.decisions++
 	next, err := r.place(r.planned)
 	if err != nil {
 		return nil, err
@@ -485,7 +354,6 @@ func (r *Replanner) Rebin(bins []ddak.Bin) (*Migration, error) {
 	}
 	r.current = next
 	r.replans++
-	r.Explain.Add(obs.ExplainStep{Seq: r.decisions, Stage: "replan", Reason: "rebin", Count: mig.MovedItems, Value: mig.MovedBytes})
 	return mig, nil
 }
 

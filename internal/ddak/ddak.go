@@ -49,212 +49,11 @@ type Bin struct {
 	Traffic  float64 // expected served bytes per epoch (Bin_traffic)
 }
 
-// Assignment is a complete embedding layout.
-type Assignment struct {
-	Bins []Bin
-	// Of maps each vertex (by hotness-profile index) to a bin index.
-	Of []int32
-	// Used is the bytes stored per bin.
-	Used []float64
-	// Access is the cumulative hotness per bin (Bin_access, Eq. 2).
-	Access []float64
-	// Pools is the number of pooled placement decisions taken (cost model).
-	Pools int
-}
-
-// Validate checks assignment invariants: every vertex placed, capacities
-// respected, accounting consistent.
-func (a *Assignment) Validate(bytesPerVertex float64) error {
-	if len(a.Used) != len(a.Bins) || len(a.Access) != len(a.Bins) {
-		return fmt.Errorf("ddak: accounting arrays mismatch bins")
-	}
-	used := make([]float64, len(a.Bins))
-	for v, b := range a.Of {
-		if b < 0 || int(b) >= len(a.Bins) {
-			return fmt.Errorf("ddak: vertex %d in bin %d out of range", v, b)
-		}
-		used[b] += bytesPerVertex
-	}
-	for i := range a.Bins {
-		if used[i] > a.Bins[i].Capacity*(1+1e-9)+1e-6 {
-			return fmt.Errorf("ddak: bin %s over capacity: %.0f > %.0f",
-				a.Bins[i].Name, used[i], a.Bins[i].Capacity)
-		}
-		if math.Abs(used[i]-a.Used[i]) > 1e-6+1e-9*used[i] {
-			return fmt.Errorf("ddak: bin %s used mismatch: %.0f vs %.0f",
-				a.Bins[i].Name, used[i], a.Used[i])
-		}
-	}
-	return nil
-}
-
-// Self-check hooks, installed by internal/verify when self-verification is
-// enabled (they stay nil otherwise). Declared here rather than imported so
-// ddak does not depend on the verification subsystem.
-var (
-	// Check audits every Place result before it is returned.
-	Check func(a *Assignment, hot []float64, bytesPerVertex float64) error
-	// CheckItems audits every PlaceItems result before it is returned.
-	CheckItems func(a *ItemAssignment, items []Item) error
-)
-
-// Place runs DDAK. Vertices are sorted by descending hotness and placed
-// poolN at a time (the paper pools n=100 decisions to bound planning cost);
-// each pool goes to the bin with the minimum filling priority
-//
-//	Bin_priority = (Bin_access / Bin_traffic) · (Bin_used / Bin_capacity)
-//
-// among bins with free space, with ties broken by the GPU > CPU > SSD
-// hierarchy and then by bin order. Bins with zero traffic budget receive
-// vertices only when every budgeted bin is full.
-func Place(hot []float64, bytesPerVertex float64, bins []Bin, poolN int) (*Assignment, error) {
-	if err := checkInputs(hot, bytesPerVertex, bins); err != nil {
-		return nil, err
-	}
-	if poolN <= 0 {
-		poolN = 100
-	}
-	order := sortByHotness(hot)
-	a := &Assignment{
-		Bins:   append([]Bin(nil), bins...),
-		Of:     make([]int32, len(hot)),
-		Used:   make([]float64, len(bins)),
-		Access: make([]float64, len(bins)),
-	}
-	slots := make([]int64, len(bins)) // remaining vertex slots per bin
-	for i, b := range bins {
-		slots[i] = int64(b.Capacity / bytesPerVertex)
-	}
-
-	priority := func(i int) float64 {
-		b := a.Bins[i]
-		fill := 0.0
-		if b.Capacity > 0 {
-			fill = a.Used[i] / b.Capacity
-		}
-		if b.Traffic <= 0 {
-			// Unbudgeted bin: effectively last resort.
-			return math.Inf(1)
-		}
-		return (a.Access[i] / b.Traffic) * fill
-	}
-
-	pick := func() int {
-		return pickBin(len(a.Bins),
-			func(i int) bool { return slots[i] > 0 },
-			priority,
-			func(i int) Tier { return a.Bins[i].Tier })
-	}
-
-	cursor := 0
-	for cursor < len(order) {
-		bin := pick()
-		if bin < 0 {
-			return nil, fmt.Errorf("ddak: capacity exhausted with %d vertices left",
-				len(order)-cursor)
-		}
-		take := int64(poolN)
-		if rem := int64(len(order) - cursor); rem < take {
-			take = rem
-		}
-		if slots[bin] < take {
-			take = slots[bin]
-		}
-		for k := int64(0); k < take; k++ {
-			v := order[cursor]
-			a.Of[v] = int32(bin)
-			a.Access[bin] += hot[v]
-			cursor++
-		}
-		a.Used[bin] += float64(take) * bytesPerVertex
-		slots[bin] -= take
-		a.Pools++
-	}
-	if Check != nil {
-		if err := Check(a, hot, bytesPerVertex); err != nil {
-			return nil, fmt.Errorf("ddak: self-check failed: %w", err)
-		}
-	}
-	return a, nil
-}
-
-// HashPlace is the naive uniform baseline of §3.3: vertices are assigned
-// round-robin by id (a perfect hash) across all bins proportionally to
-// capacity, ignoring hotness entirely.
-func HashPlace(hot []float64, bytesPerVertex float64, bins []Bin) (*Assignment, error) {
-	if err := checkInputs(hot, bytesPerVertex, bins); err != nil {
-		return nil, err
-	}
-	a := &Assignment{
-		Bins:   append([]Bin(nil), bins...),
-		Of:     make([]int32, len(hot)),
-		Used:   make([]float64, len(bins)),
-		Access: make([]float64, len(bins)),
-	}
-	slots := make([]int64, len(bins))
-	var totalSlots int64
-	for i, b := range bins {
-		slots[i] = int64(b.Capacity / bytesPerVertex)
-		totalSlots += slots[i]
-	}
-	// Weighted round-robin: bin i receives every k-th vertex where k
-	// tracks its capacity share, approximated by largest-remainder.
-	credits := make([]float64, len(bins))
-	weights := make([]float64, len(bins))
-	for i := range bins {
-		weights[i] = float64(slots[i]) / float64(totalSlots)
-	}
-	for v := range hot {
-		best := -1
-		for i := range bins {
-			if slots[i] <= 0 {
-				continue
-			}
-			credits[i] += weights[i]
-			if best == -1 || credits[i] > credits[best] {
-				best = i
-			}
-		}
-		if best == -1 {
-			return nil, fmt.Errorf("ddak: hash placement ran out of capacity at vertex %d", v)
-		}
-		credits[best] -= 1
-		a.Of[v] = int32(best)
-		a.Used[best] += bytesPerVertex
-		a.Access[best] += hot[v]
-		slots[best]--
-	}
-	a.Pools = len(hot)
-	return a, nil
-}
-
-func checkInputs(hot []float64, bytesPerVertex float64, bins []Bin) error {
-	if len(hot) == 0 {
-		return fmt.Errorf("ddak: no vertices")
-	}
-	if bytesPerVertex <= 0 {
-		return fmt.Errorf("ddak: non-positive bytes per vertex")
-	}
-	if len(bins) == 0 {
-		return fmt.Errorf("ddak: no bins")
-	}
-	var slots int64
-	for i, b := range bins {
-		if b.Capacity < 0 || b.Traffic < 0 {
-			return fmt.Errorf("ddak: bin %d (%s) has negative capacity or traffic", i, b.Name)
-		}
-		slots += int64(b.Capacity / bytesPerVertex)
-	}
-	if slots < int64(len(hot)) {
-		return fmt.Errorf("ddak: %d vertex slots < %d vertices", slots, len(hot))
-	}
-	for v, h := range hot {
-		if h < 0 || math.IsNaN(h) {
-			return fmt.Errorf("ddak: bad hotness %v at vertex %d", h, v)
-		}
-	}
-	return nil
-}
+// CheckItems, when non-nil, audits every PlaceItems result before it is
+// returned. It is installed by internal/verify when self-verification is
+// enabled; declared here rather than imported so ddak does not depend on
+// the verification subsystem.
+var CheckItems func(a *ItemAssignment, items []Item) error
 
 func tierLess(a, b Tier) bool { return a < b }
 
@@ -292,65 +91,6 @@ func pickBin(n int, eligible func(int) bool, priority func(int) float64, tier fu
 	return best
 }
 
-func sortByHotness(hot []float64) []int32 {
-	order := make([]int32, len(hot))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return hot[order[i]] > hot[order[j]]
-	})
-	return order
-}
-
-// ServedBytes computes, per bin, the bytes it serves during an epoch that
-// fetches totalBytes of embeddings distributed according to hot:
-// served_b = totalBytes · Σ_{v∈b} hot_v.
-func (a *Assignment) ServedBytes(hot []float64, totalBytes float64) ([]float64, error) {
-	if len(hot) != len(a.Of) {
-		return nil, fmt.Errorf("ddak: hotness length %d != assignment %d", len(hot), len(a.Of))
-	}
-	out := make([]float64, len(a.Bins))
-	for v, b := range a.Of {
-		out[b] += hot[v] * totalBytes
-	}
-	return out, nil
-}
-
-// HitRate sums the hotness captured by bins of the given tier — e.g. the
-// combined GPU-cache hit fraction of the layout.
-func (a *Assignment) HitRate(tier Tier) float64 {
-	total := 0.0
-	for i, b := range a.Bins {
-		if b.Tier == tier {
-			total += a.Access[i]
-		}
-	}
-	return total
-}
-
-// TrafficMismatch measures how far realized per-bin service is from the
-// max-flow traffic plan: ½·Σ|served_b − traffic_b| / Σ traffic_b
-// (total-variation distance). DDAK should score much lower than hash.
-func (a *Assignment) TrafficMismatch(hot []float64, totalBytes float64) (float64, error) {
-	served, err := a.ServedBytes(hot, totalBytes)
-	if err != nil {
-		return 0, err
-	}
-	sumT := 0.0
-	for _, b := range a.Bins {
-		sumT += b.Traffic
-	}
-	if sumT == 0 {
-		return 0, fmt.Errorf("ddak: no traffic budget to compare against")
-	}
-	dist := 0.0
-	for i, b := range a.Bins {
-		dist += math.Abs(served[i] - b.Traffic)
-	}
-	return dist / (2 * sumT), nil
-}
-
 // Item is a placement unit with its own size: a single vertex for scaled
 // datasets, or a rank bucket of vertices for paper-scale simulations (the
 // pooling of §3.3 taken one step further so terabyte datasets fit in a
@@ -360,13 +100,18 @@ type Item struct {
 	Bytes float64 // embedding bytes this item occupies
 }
 
-// ItemAssignment maps items to bins with the same accounting as Assignment.
+// ItemAssignment is a complete embedding layout.
 type ItemAssignment struct {
-	Bins   []Bin
-	Of     []int32
-	Used   []float64
+	Bins []Bin
+	// Of maps each item (by index into the placed item slice) to a bin
+	// index.
+	Of []int32
+	// Used is the bytes stored per bin.
+	Used []float64
+	// Access is the cumulative access mass per bin (Bin_access, Eq. 2).
 	Access []float64
-	Pools  int
+	// Pools is the number of pooled placement decisions taken (cost model).
+	Pools int
 }
 
 // ExplainAssignment records the per-bin score breakdown of an assignment on
@@ -416,8 +161,8 @@ func PlaceItemsObserved(items []Item, bins []Bin, poolN int, trafficScale float6
 		order[i] = int32(i)
 	}
 	sort.SliceStable(order, func(i, j int) bool {
-		// Hot-first by access density (mass per byte), matching the
-		// per-vertex ordering when item sizes are uniform.
+		// Hot-first by access density (mass per byte): plain hotness
+		// order when item sizes are uniform.
 		a, b := items[order[i]], items[order[j]]
 		return a.Hot*b.Bytes > b.Hot*a.Bytes
 	})
@@ -594,9 +339,10 @@ func checkItems(items []Item, bins []Bin) error {
 	return nil
 }
 
-// ServedBytesItems mirrors ServedBytes for item assignments: each bin
-// serves totalBytes scaled by the access mass it holds (masses need not
-// sum to 1; they are normalized here).
+// ServedBytesItems computes, per bin, the bytes it serves during an epoch
+// that fetches totalBytes of embeddings: totalBytes scaled by the bin's
+// share of the access mass (masses need not sum to 1; they are normalized
+// here).
 func (a *ItemAssignment) ServedBytesItems(totalBytes float64) []float64 {
 	var mass float64
 	for _, m := range a.Access {

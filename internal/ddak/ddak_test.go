@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"moment/internal/sample"
 )
 
 // standard bin set: 2 GPU caches, 1 CPU cache, 4 SSDs.
@@ -22,52 +20,40 @@ func testBins() []Bin {
 	}
 }
 
-func zipfHot(t *testing.T, n int) []float64 {
-	t.Helper()
-	h, err := sample.ZipfHotness(n, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
-}
-
-func TestPlaceBasics(t *testing.T) {
-	hot := zipfHot(t, 2000)
-	a, err := Place(hot, 1, testBins(), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Validate(1); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Of) != 2000 {
-		t.Fatalf("placed %d", len(a.Of))
-	}
-	if a.Pools == 0 {
-		t.Fatal("no pooled decisions recorded")
-	}
-}
-
 func TestPlaceHotVerticesLandInFastTiers(t *testing.T) {
-	hot := zipfHot(t, 2000)
-	a, err := Place(hot, 1, testBins(), 10)
+	items := zipfItems(t, 2000)
+	a, err := PlaceItems(items, testBins(), 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	validateItems(t, a, items)
 	// The hottest vertex must be in a cache tier, not an SSD.
 	if tier := a.Bins[a.Of[0]].Tier; tier == TierSSD {
 		t.Errorf("hottest vertex placed on %v", a.Bins[a.Of[0]].Name)
 	}
 	// GPU-cache hit rate should far exceed the capacity share.
-	gpuHit := a.HitRate(TierGPU)
+	gpuHit := a.HitRateItems(TierGPU)
 	capShare := 200.0 / 2000.0
 	if gpuHit < 3*capShare {
 		t.Errorf("GPU hit rate %.3f barely above capacity share %.3f", gpuHit, capShare)
 	}
 }
 
+// trafficMismatch measures how far realized per-bin service is from the
+// max-flow traffic plan: ½·Σ|served_b − traffic_b| / Σ traffic_b, the
+// total-variation distance.
+func trafficMismatch(a *ItemAssignment, totalBytes float64) float64 {
+	served := a.ServedBytesItems(totalBytes)
+	sumT, dist := 0.0, 0.0
+	for i, b := range a.Bins {
+		sumT += b.Traffic
+		dist += math.Abs(served[i] - b.Traffic)
+	}
+	return dist / (2 * sumT)
+}
+
 func TestPlaceBeatsHashOnTrafficMatch(t *testing.T) {
-	hot := zipfHot(t, 5000)
+	items := zipfItems(t, 5000)
 	bins := testBins()
 	// Scale capacities so everything fits.
 	for i := range bins {
@@ -75,52 +61,54 @@ func TestPlaceBeatsHashOnTrafficMatch(t *testing.T) {
 			bins[i].Capacity = 5000
 		}
 	}
-	d, err := Place(hot, 1, bins, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := HashPlace(hot, 1, bins)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const total = 1600
-	md, err := d.TrafficMismatch(hot, total)
+	d, err := PlaceItems(items, bins, 100, total)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mh, err := h.TrafficMismatch(hot, total)
+	h, err := HashPlaceItems(items, bins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if md >= mh {
+	if md, mh := trafficMismatch(d, total), trafficMismatch(h, total); md >= mh {
 		t.Errorf("DDAK mismatch %.3f >= hash %.3f", md, mh)
 	}
 	// DDAK's GPU hit rate should beat hash's by a wide margin.
-	if d.HitRate(TierGPU) < 2*h.HitRate(TierGPU) {
-		t.Errorf("DDAK gpu hit %.3f vs hash %.3f", d.HitRate(TierGPU), h.HitRate(TierGPU))
+	if d.HitRateItems(TierGPU) < 2*h.HitRateItems(TierGPU) {
+		t.Errorf("DDAK gpu hit %.3f vs hash %.3f", d.HitRateItems(TierGPU), h.HitRateItems(TierGPU))
 	}
 }
 
+// Capacities and Used/Access accounting hold under random items, bins,
+// pool sizes and traffic scales, with traffic caps on and off.
 func TestPlaceRespectsCapacitiesProperty(t *testing.T) {
 	f := func(seed int64, poolRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 500 + r.Intn(1500)
-		hot := make([]float64, n)
-		for i := range hot {
-			hot[i] = r.Float64()
+		items := make([]Item, n)
+		need := 0.0
+		for i := range items {
+			items[i] = Item{Hot: r.Float64(), Bytes: float64(1 + r.Intn(3))}
+			need += items[i].Bytes
 		}
 		bins := []Bin{
 			{Name: "g", Tier: TierGPU, Capacity: float64(50 + r.Intn(100)), Traffic: r.Float64() * 1000},
 			{Name: "c", Tier: TierCPU, Capacity: float64(100 + r.Intn(200)), Traffic: r.Float64() * 1000},
-			{Name: "s0", Tier: TierSSD, Capacity: float64(n), Traffic: r.Float64() * 1000},
-			{Name: "s1", Tier: TierSSD, Capacity: float64(n), Traffic: r.Float64() * 1000},
+			{Name: "s0", Tier: TierSSD, Capacity: need, Traffic: r.Float64() * 1000},
+			{Name: "s1", Tier: TierSSD, Capacity: need, Traffic: r.Float64() * 1000},
 		}
 		pool := int(poolRaw)%200 + 1
-		a, err := Place(hot, 1, bins, pool)
+		scale := 0.0 // traffic caps off
+		if r.Intn(4) > 0 {
+			scale = r.Float64() * 4000
+		}
+		a, err := PlaceItems(items, bins, pool, scale)
 		if err != nil {
+			t.Errorf("seed %d: %v", seed, err)
 			return false
 		}
-		return a.Validate(1) == nil
+		validateItems(t, a, items)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -128,16 +116,16 @@ func TestPlaceRespectsCapacitiesProperty(t *testing.T) {
 }
 
 func TestPoolingReducesDecisions(t *testing.T) {
-	hot := zipfHot(t, 10_000)
+	items := zipfItems(t, 10_000)
 	bins := testBins()
 	for i := range bins {
 		bins[i].Capacity *= 10
 	}
-	a1, err := Place(hot, 1, bins, 1)
+	a1, err := PlaceItems(items, bins, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a100, err := Place(hot, 1, bins, 100)
+	a100, err := PlaceItems(items, bins, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,92 +133,68 @@ func TestPoolingReducesDecisions(t *testing.T) {
 		t.Errorf("pooling did not reduce decisions: %d vs %d", a100.Pools, a1.Pools)
 	}
 	if a1.Pools != 10_000 {
-		t.Errorf("poolN=1 should decide per vertex, got %d", a1.Pools)
+		t.Errorf("poolN=1 should decide per item, got %d", a1.Pools)
 	}
 	// Pooled placement should stay close in quality (GPU hit rate).
-	if d := a1.HitRate(TierGPU) - a100.HitRate(TierGPU); d > 0.05 {
+	if d := a1.HitRateItems(TierGPU) - a100.HitRateItems(TierGPU); d > 0.05 {
 		t.Errorf("pooling cost %.3f hit rate", d)
 	}
 }
 
 func TestPlaceZeroPoolDefaults(t *testing.T) {
-	hot := zipfHot(t, 300)
-	a, err := Place(hot, 1, testBins(), 0)
+	a, err := PlaceItems(zipfItems(t, 300), testBins(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// default pool size 100 -> at least ceil(300/100) pools, but bins may
-	// split pools; just require fewer decisions than vertices.
+	// split pools; just require fewer decisions than items.
 	if a.Pools >= 300 {
 		t.Errorf("default pooling ineffective: %d pools", a.Pools)
 	}
 }
 
+// A zero-traffic bin receives items only once the budgeted bin of its
+// tier is full. With traffic caps on, the budgeted bin is capped after its
+// first item and the zero-traffic bin always counts as capped, so the
+// capacity-only fallback decides — by priority, which still prefers the
+// budgeted bin.
 func TestZeroTrafficBinsAreLastResort(t *testing.T) {
-	hot := zipfHot(t, 100)
+	items := zipfItems(t, 100)
 	bins := []Bin{
 		{Name: "budgeted", Tier: TierSSD, Capacity: 60, Traffic: 100},
 		{Name: "cold", Tier: TierSSD, Capacity: 100, Traffic: 0},
 	}
-	a, err := Place(hot, 1, bins, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Used[0] != 60 {
-		t.Errorf("budgeted bin used %.0f, want full 60", a.Used[0])
-	}
-	if a.Used[1] != 40 {
-		t.Errorf("cold bin used %.0f, want overflow 40", a.Used[1])
-	}
-	// The cold bin must hold the coldest vertices.
-	if a.Of[0] != 0 {
-		t.Error("hottest vertex in zero-traffic bin")
-	}
-}
-
-func TestPlaceErrors(t *testing.T) {
-	hot := zipfHot(t, 10)
-	bins := testBins()
-	if _, err := Place(nil, 1, bins, 10); err == nil {
-		t.Error("empty hotness accepted")
-	}
-	if _, err := Place(hot, 0, bins, 10); err == nil {
-		t.Error("zero bytes/vertex accepted")
-	}
-	if _, err := Place(hot, 1, nil, 10); err == nil {
-		t.Error("no bins accepted")
-	}
-	if _, err := Place(hot, 1, []Bin{{Name: "tiny", Capacity: 2, Traffic: 1}}, 10); err == nil {
-		t.Error("insufficient capacity accepted")
-	}
-	if _, err := Place([]float64{0.5, math.NaN()}, 1, bins, 10); err == nil {
-		t.Error("NaN hotness accepted")
-	}
-	if _, err := Place([]float64{0.5, -0.1}, 1, bins, 10); err == nil {
-		t.Error("negative hotness accepted")
-	}
-	bad := testBins()
-	bad[0].Capacity = -5
-	if _, err := Place(hot, 1, bad, 10); err == nil {
-		t.Error("negative capacity accepted")
+	for _, scale := range []float64{0, 1000} {
+		a, err := PlaceItems(items, bins, 10, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Used[0] != 60 {
+			t.Errorf("scale %v: budgeted bin used %.0f, want full 60", scale, a.Used[0])
+		}
+		if a.Used[1] != 40 {
+			t.Errorf("scale %v: cold bin used %.0f, want overflow 40", scale, a.Used[1])
+		}
+		// The cold bin must hold the coldest items.
+		if a.Of[0] != 0 {
+			t.Errorf("scale %v: hottest item in zero-traffic bin", scale)
+		}
 	}
 }
 
 func TestHashPlaceUniform(t *testing.T) {
-	hot := zipfHot(t, 4000)
+	items := zipfItems(t, 4000)
 	bins := []Bin{
 		{Name: "s0", Tier: TierSSD, Capacity: 2000, Traffic: 100},
 		{Name: "s1", Tier: TierSSD, Capacity: 2000, Traffic: 100},
 		{Name: "s2", Tier: TierSSD, Capacity: 2000, Traffic: 100},
 		{Name: "s3", Tier: TierSSD, Capacity: 2000, Traffic: 100},
 	}
-	a, err := HashPlace(hot, 1, bins)
+	a, err := HashPlaceItems(items, bins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Validate(1); err != nil {
-		t.Fatal(err)
-	}
+	validateItems(t, a, items)
 	for i := range bins {
 		if math.Abs(a.Used[i]-1000) > 10 {
 			t.Errorf("bin %d used %.0f, want ~1000 (uniform)", i, a.Used[i])
@@ -245,12 +209,11 @@ func TestHashPlaceUniform(t *testing.T) {
 }
 
 func TestHashPlaceCapacityWeighted(t *testing.T) {
-	hot := zipfHot(t, 3000)
 	bins := []Bin{
 		{Name: "big", Tier: TierSSD, Capacity: 4000, Traffic: 1},
 		{Name: "small", Tier: TierSSD, Capacity: 1000, Traffic: 1},
 	}
-	a, err := HashPlace(hot, 1, bins)
+	a, err := HashPlaceItems(zipfItems(t, 3000), bins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,19 +224,16 @@ func TestHashPlaceCapacityWeighted(t *testing.T) {
 }
 
 func TestServedBytes(t *testing.T) {
-	hot := []float64{0.5, 0.3, 0.2}
+	items := []Item{{Hot: 0.5, Bytes: 1}, {Hot: 0.3, Bytes: 1}, {Hot: 0.2, Bytes: 1}}
 	bins := []Bin{
 		{Name: "a", Tier: TierGPU, Capacity: 1, Traffic: 10},
 		{Name: "b", Tier: TierSSD, Capacity: 10, Traffic: 10},
 	}
-	a, err := Place(hot, 1, bins, 1)
+	a, err := PlaceItems(items, bins, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	served, err := a.ServedBytes(hot, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	served := a.ServedBytesItems(100)
 	sum := 0.0
 	for _, s := range served {
 		sum += s
@@ -281,12 +241,9 @@ func TestServedBytes(t *testing.T) {
 	if math.Abs(sum-100) > 1e-9 {
 		t.Errorf("served sums to %v", sum)
 	}
-	// Hottest vertex is in the GPU bin: it alone serves 50.
+	// Hottest item is in the GPU bin: it alone serves 50.
 	if math.Abs(served[0]-50) > 1e-9 {
 		t.Errorf("gpu bin served %v, want 50", served[0])
-	}
-	if _, err := a.ServedBytes([]float64{1}, 100); err == nil {
-		t.Error("length mismatch accepted")
 	}
 }
 
@@ -296,18 +253,6 @@ func TestTierString(t *testing.T) {
 	}
 	if Tier(9).String() != "tier(9)" {
 		t.Error("unknown tier name")
-	}
-}
-
-func TestTrafficMismatchErrors(t *testing.T) {
-	hot := zipfHot(t, 10)
-	bins := []Bin{{Name: "s", Tier: TierSSD, Capacity: 100, Traffic: 0}}
-	a, err := Place(hot, 1, bins, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.TrafficMismatch(hot, 10); err == nil {
-		t.Error("zero traffic budget accepted")
 	}
 }
 
@@ -396,6 +341,17 @@ func TestPlaceItemsErrors(t *testing.T) {
 	if _, err := HashPlaceItems([]Item{{Hot: 1, Bytes: 200}}, bins); err == nil {
 		t.Error("hash overflow accepted")
 	}
+	if _, err := PlaceItems([]Item{{Hot: 1, Bytes: 1}}, nil, 1, 0); err == nil {
+		t.Error("no bins accepted")
+	}
+	if _, err := PlaceItems([]Item{{Hot: math.NaN(), Bytes: 1}}, bins, 1, 0); err == nil {
+		t.Error("NaN hotness accepted")
+	}
+	bad := testBins()
+	bad[0].Capacity = -5
+	if _, err := PlaceItems([]Item{{Hot: 1, Bytes: 1}}, bad, 1, 0); err == nil {
+		t.Error("negative capacity accepted")
+	}
 }
 
 func TestHashPlaceItemsIgnoresHotness(t *testing.T) {
@@ -462,36 +418,33 @@ func TestPickBinNearTiePrefersFasterTier(t *testing.T) {
 	}
 }
 
-// Two equal-priority bins through the full Place path: with identical
-// capacity and traffic the GPU bin must be preferred on every tie, so it
-// can never end up with fewer vertices than the CPU bin listed before it.
+// Two bins with equal capacity and traffic, the CPU bin listed first: both
+// start at priority 0, and the GPU bin must win, so it holds the hottest
+// items and the CPU bin only the rest.
 func TestPlaceEqualPriorityBinsPreferGPU(t *testing.T) {
 	bins := []Bin{
 		{Name: "dram", Tier: TierCPU, Capacity: 50, Traffic: 100},
 		{Name: "hbm", Tier: TierGPU, Capacity: 50, Traffic: 100},
 	}
-	hot := make([]float64, 100)
-	for i := range hot {
-		hot[i] = 1.0 / float64(i+3) // distinct, accumulating sums
+	items := make([]Item, 100)
+	for i := range items {
+		items[i] = Item{Hot: 1.0 / float64(i+3), Bytes: 1} // distinct, accumulating sums
 	}
-	a, err := Place(hot, 1, bins, 1)
+	a, err := PlaceItems(items, bins, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Validate(1); err != nil {
-		t.Fatal(err)
-	}
-	// The very first (hottest) pool must land on the GPU bin.
-	if a.Of[0] != 1 {
-		t.Errorf("hottest vertex in bin %d (%s), want GPU", a.Of[0], a.Bins[a.Of[0]].Name)
-	}
-	// Ties broken toward GPU keep the two equal bins in lockstep: the GPU
-	// bin's access mass can trail the CPU bin's only by sub-epsilon noise,
-	// never by a whole vertex.
-	if a.Access[0]-a.Access[1] > hot[len(hot)-1] {
-		t.Errorf("GPU access %v trails CPU access %v by a full vertex", a.Access[1], a.Access[0])
+	validateItems(t, a, items)
+	for i := range items {
+		want := int32(1) // the 50 hottest items fill hbm
+		if i >= 50 {
+			want = 0
+		}
+		if a.Of[i] != want {
+			t.Fatalf("item %d in bin %s, want %s", i, a.Bins[a.Of[i]].Name, a.Bins[want].Name)
+		}
 	}
 	if a.Used[0] != 50 || a.Used[1] != 50 {
-		t.Errorf("bins not filled evenly: %v", a.Used)
+		t.Errorf("bins not both full: %v", a.Used)
 	}
 }

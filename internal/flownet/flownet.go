@@ -147,7 +147,6 @@ type Network struct {
 	supplyHBM  []maxflow.EdgeID            // s -> hbm_i
 	supplyDRAM map[string]maxflow.EdgeID   // s -> dram_k
 	supplySSD  []maxflow.EdgeID            // s -> ssd_i (or pool -> ssd_i)
-	supplyPool maxflow.EdgeID              // s -> ssdpool (-1 when SSDPer pins budgets)
 	qpiEdges   []maxflow.EdgeID            // both directions
 	linkEdges  map[string][]maxflow.EdgeID // named physical links -> edges
 	linkRate   map[string]float64          // named physical links -> per-direction rate sum
@@ -209,7 +208,7 @@ func BuildReuse(m *topology.Machine, p *topology.Placement, d *Demand, scratch *
 		n.qpiEdges = n.qpiEdges[:0] // observer (n.obsrv) survives reuse
 	}
 	n.Machine, n.Placement, n.demand = m, p, d
-	n.PoolNode, n.supplyPool = -1, -1
+	n.PoolNode = -1
 	n.solvedT = 0
 	g := n.G
 	n.S = g.AddNode("s")
@@ -328,9 +327,7 @@ func BuildReuse(m *topology.Machine, p *topology.Placement, d *Demand, scratch *
 	ssdRate := math.Min(float64(m.SSDBW), float64(m.PCIeX4))
 	if d.SSDPer == nil && m.NumSSDs > 0 {
 		n.PoolNode = g.AddNode("ssdpool")
-		se := g.AddEdge(n.S, n.PoolNode, 0)
-		bis.AddFixedEdge(se, d.SSDTotal)
-		n.supplyPool = se
+		bis.AddFixedEdge(g.AddEdge(n.S, n.PoolNode, 0), d.SSDTotal)
 	}
 	for i := 0; i < m.NumSSDs; i++ {
 		sn := g.AddNode(fmt.Sprintf("ssd%d", i))
@@ -365,82 +362,6 @@ func (n *Network) trackLink(name string, rate float64, edges ...maxflow.EdgeID) 
 	n.linkRate[name] += rate * float64(len(edges))
 }
 
-// PatchDemand reprices every byte-budget (fixed) edge of an already built
-// network to demand d without rebuilding the graph — the fast path for
-// re-scoring one placement under many demand vectors (hotness drift,
-// fault-triggered re-bins). The new demand must be structurally compatible
-// with the network: same GPU/SSD counts, same HBMPeer and SSDPer nil-ness
-// (those toggle nodes, not budgets), and DRAM budgets only on sockets the
-// machine has. The next Solve starts cold, as every solve does, so no
-// warm flow outlives the old budgets. The network is left unsolved.
-func (n *Network) PatchDemand(d *Demand) error {
-	m := n.Machine
-	if len(d.PerGPU) != m.NumGPUs {
-		return fmt.Errorf("flownet: patch demand for %d GPUs, machine has %d", len(d.PerGPU), m.NumGPUs)
-	}
-	if (d.HBMPeer == nil) != (n.demand.HBMPeer == nil) {
-		return fmt.Errorf("flownet: patch cannot toggle HBM peer serving (rebuild required)")
-	}
-	if d.HBMPeer != nil && len(d.HBMPeer) != m.NumGPUs {
-		return fmt.Errorf("flownet: patch HBMPeer for %d GPUs, machine has %d", len(d.HBMPeer), m.NumGPUs)
-	}
-	if (d.SSDPer == nil) != (n.demand.SSDPer == nil) {
-		return fmt.Errorf("flownet: patch cannot toggle per-SSD pinning (rebuild required)")
-	}
-	if d.SSDPer != nil && len(d.SSDPer) != m.NumSSDs {
-		return fmt.Errorf("flownet: patch SSDPer for %d SSDs, machine has %d", len(d.SSDPer), m.NumSSDs)
-	}
-	for rc := range d.DRAM {
-		if _, ok := n.DRAMNode[rc]; !ok {
-			return fmt.Errorf("flownet: DRAM budget for unknown socket %q", rc)
-		}
-	}
-	supply, dem := d.TotalSupply(), d.TotalDemand()
-	if supply < dem-1e-6-1e-9*dem {
-		return fmt.Errorf("flownet: storage supply %.0f < GPU demand %.0f", supply, dem)
-	}
-
-	for i, e := range n.demandEdge {
-		if err := n.bis.SetFixed(e, d.PerGPU[i]); err != nil {
-			return err
-		}
-	}
-	if d.HBMPeer != nil {
-		for i, e := range n.supplyHBM {
-			if e < 0 {
-				continue
-			}
-			if err := n.bis.SetFixed(e, d.HBMPeer[i]); err != nil {
-				return err
-			}
-		}
-	}
-	for rc, e := range n.supplyDRAM {
-		budget := 0.0
-		if d.DRAM != nil {
-			budget = d.DRAM[rc]
-		}
-		if err := n.bis.SetFixed(e, budget); err != nil {
-			return err
-		}
-	}
-	if d.SSDPer != nil {
-		for i, e := range n.supplySSD {
-			if err := n.bis.SetFixed(e, d.SSDPer[i]); err != nil {
-				return err
-			}
-		}
-	} else if n.supplyPool >= 0 {
-		if err := n.bis.SetFixed(n.supplyPool, d.SSDTotal); err != nil {
-			return err
-		}
-	}
-	n.bis.Demand = dem
-	n.demand = d
-	n.solvedT = 0
-	return nil
-}
-
 // Check, when non-nil, audits every solved network before Solve returns
 // (flow certificate, supply/utilization invariants). It is installed by
 // internal/verify when self-verification is enabled; declared here rather
@@ -470,11 +391,11 @@ func (n *Network) SetContext(ctx context.Context) { n.bis.Ctx = ctx }
 func (n *Network) SolveTol(tol float64) (units.Duration, error) {
 	o := n.obsrv
 	var before maxflow.SolveStats
-	var warmS, warmA int
+	var warmS int
 	var wall time.Time
 	if o != nil {
 		before = n.G.Stats()
-		warmS, warmA = n.bis.WarmStarts, n.bis.WarmAborts
+		warmS = n.bis.WarmStarts
 		wall = time.Now()
 	}
 	t, err := n.bis.MinTime(tol)
@@ -482,9 +403,8 @@ func (n *Network) SolveTol(tol float64) (units.Duration, error) {
 		after := n.G.Stats()
 		o.Counter("maxflow_solves_total").Add(float64(after.Solves - before.Solves))
 		o.Counter("maxflow_augmenting_paths_total").Add(float64(after.AugmentingPaths - before.AugmentingPaths))
-		// Warm counters are cumulative on the bisector, so report deltas.
+		// WarmStarts is cumulative on the bisector, so report the delta.
 		o.Counter("maxflow_warm_starts_total").Add(float64(n.bis.WarmStarts - warmS))
-		o.Counter("maxflow_warm_aborts_total").Add(float64(n.bis.WarmAborts - warmA))
 		o.Histogram("maxflow_bisection_iterations").Observe(float64(n.bis.Iterations))
 		o.Histogram("maxflow_bisection_probes").Observe(float64(n.bis.Probes))
 		o.Histogram("flownet_solve_seconds").Observe(time.Since(wall).Seconds())
@@ -507,10 +427,12 @@ func (n *Network) SolveTol(tol float64) (units.Duration, error) {
 
 // SolveCounters reports the solver work of the most recent solve: Probes
 // (max-flow solves) and Iterations (Newton steps) cover that solve alone
-// (the bisector resets them per MinTime), while WarmStarts and WarmAborts
-// accumulate across the network's lifetime.
+// (the bisector resets them per MinTime), while WarmStarts accumulates
+// across the network's lifetime. warmAborts is always 0: every solve
+// starts cold and only raises capacities, so no warm continuation is ever
+// abandoned. It remains for callers that still read four counters.
 func (n *Network) SolveCounters() (probes, iterations, warmStarts, warmAborts int) {
-	return n.bis.Probes, n.bis.Iterations, n.bis.WarmStarts, n.bis.WarmAborts
+	return n.bis.Probes, n.bis.Iterations, n.bis.WarmStarts, 0
 }
 
 // Demand returns the demand the network was built for.

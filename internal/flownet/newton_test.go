@@ -73,11 +73,10 @@ func TestSolveOnPlannerCandidates(t *testing.T) {
 
 // coldBisect is the reference the search is held to: it doubles a horizon
 // from one second until all demand fits, then bisects to relative width
-// tol, solving every probe cold. It returns the bracket's feasible end.
+// tol, every Feasible probe solving cold. It returns the bracket's
+// feasible end.
 func coldBisect(t *testing.T, b *maxflow.TimeBisector, tol float64) float64 {
 	t.Helper()
-	b.DisableWarmStart = true
-	defer func() { b.DisableWarmStart = false }()
 	lo, hi := 0.0, 1.0
 	for !b.Feasible(hi) {
 		if hi > 1e12 {

@@ -83,93 +83,6 @@ func TestBuildReuseAfterError(t *testing.T) {
 	}
 }
 
-// TestPatchDemandMatchesRebuild reprices budgets on a built network and
-// checks the solve agrees with a from-scratch Build of the new demand.
-func TestPatchDemandMatchesRebuild(t *testing.T) {
-	m := topology.MachineB()
-	n := build(t, m, topology.LayoutC, demandA(m.NumGPUs))
-	if _, err := n.Solve(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Scale the whole demand up (warm-friendly), then down (forces cold).
-	for _, factor := range []float64{1.5, 0.4} {
-		d2 := demandA(m.NumGPUs)
-		for i := range d2.PerGPU {
-			d2.PerGPU[i] *= factor
-			d2.HBMPeer[i] *= factor
-		}
-		for k := range d2.DRAM {
-			d2.DRAM[k] *= factor
-		}
-		d2.SSDTotal *= factor
-		if err := n.PatchDemand(d2); err != nil {
-			t.Fatal(err)
-		}
-		if n.SolvedHorizon() != 0 {
-			t.Fatal("PatchDemand left network marked solved")
-		}
-		got := epochTime(t, n)
-		want := epochTime(t, build(t, m, topology.LayoutC, d2))
-		if math.Abs(got-want) > 1e-3*want {
-			t.Fatalf("factor %v: patched solve %v, rebuilt %v", factor, got, want)
-		}
-	}
-}
-
-// TestPatchDemandRejectsStructuralChanges covers every rebuild-required
-// mismatch: GPU count, HBM toggling, SSD pinning toggling, bad socket.
-func TestPatchDemandRejectsStructuralChanges(t *testing.T) {
-	m := topology.MachineA()
-	base := demandA(m.NumGPUs)
-	n := build(t, m, topology.LayoutA, base)
-	for name, d := range map[string]*Demand{
-		"gpu-count":   {PerGPU: []float64{1, 2}},
-		"hbm-toggle":  {PerGPU: base.PerGPU, SSDTotal: base.TotalDemand()},
-		"ssd-pinning": {PerGPU: base.PerGPU, HBMPeer: base.HBMPeer, SSDPer: make([]float64, m.NumSSDs)},
-		"bad-socket": {PerGPU: base.PerGPU, HBMPeer: base.HBMPeer,
-			DRAM: map[string]float64{"rc9": 1}, SSDTotal: base.SSDTotal},
-		"undersupply": {PerGPU: base.PerGPU, HBMPeer: base.HBMPeer, SSDTotal: 1},
-	} {
-		if err := n.PatchDemand(d); err == nil {
-			t.Errorf("%s: patch accepted incompatible demand", name)
-		}
-	}
-	// The network must still solve correctly after rejected patches.
-	want := epochTime(t, build(t, m, topology.LayoutA, base))
-	if got := epochTime(t, n); math.Abs(got-want) > 1e-3*want {
-		t.Fatalf("solve %v after rejected patches, want %v", got, want)
-	}
-}
-
-// TestPatchDemandPinnedSSDs exercises the SSDPer branch of PatchDemand.
-func TestPatchDemandPinnedSSDs(t *testing.T) {
-	m := topology.MachineA()
-	base := demandA(m.NumGPUs)
-	per := make([]float64, m.NumSSDs)
-	for i := range per {
-		per[i] = base.SSDTotal / float64(m.NumSSDs)
-	}
-	d := &Demand{PerGPU: base.PerGPU, HBMPeer: base.HBMPeer, DRAM: base.DRAM, SSDPer: per}
-	n := build(t, m, topology.LayoutA, d)
-
-	skew := make([]float64, m.NumSSDs)
-	copy(skew, per)
-	if m.NumSSDs >= 2 {
-		skew[0] += per[1] / 2
-		skew[1] -= per[1] / 2
-	}
-	d2 := &Demand{PerGPU: base.PerGPU, HBMPeer: base.HBMPeer, DRAM: base.DRAM, SSDPer: skew}
-	if err := n.PatchDemand(d2); err != nil {
-		t.Fatal(err)
-	}
-	got := epochTime(t, n)
-	want := epochTime(t, build(t, m, topology.LayoutA, d2))
-	if math.Abs(got-want) > 1e-3*want {
-		t.Fatalf("patched pinned solve %v, rebuilt %v", got, want)
-	}
-}
-
 // TestDemandFingerprint checks the equality/inequality contract: equal
 // demands collide, any budget or structural change separates.
 func TestDemandFingerprint(t *testing.T) {

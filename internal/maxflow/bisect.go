@@ -30,13 +30,6 @@ type TimeBisector struct {
 	S, T   int
 	Demand float64 // total bytes that must arrive at the sink
 
-	// DisableWarmStart forces every probe to rebuild all capacities and
-	// solve from an empty flow — the pre-warm-start behavior, kept as the
-	// differential reference (and escape hatch). Default off: probes at a
-	// horizon at or above the last solved one reuse the flow already on
-	// the graph and only augment the difference.
-	DisableWarmStart bool
-
 	// Ctx, when non-nil, lets an abandoned caller stop a search early:
 	// MinTime checks it before every probe and returns the context's error
 	// once it is done. Probe granularity keeps the check off the inner
@@ -50,37 +43,18 @@ type TimeBisector struct {
 	fixedEdges []EdgeID
 	fixed      []float64
 
-	// Probes counts Feasible evaluations (each one max-flow solve, the
-	// horizon-0 solve included) and Iterations counts MinTime's Newton
+	// Probes counts max-flow solves (MinTime's probes, the horizon-0 solve
+	// included, and Feasible calls) and Iterations counts MinTime's Newton
 	// steps; both reset at the start of each MinTime. Plain ints:
 	// bisectors are not shared across goroutines, and callers report them
 	// to an observer after the solve rather than paying atomics inside it.
 	Probes     int
 	Iterations int
-	// WarmStarts counts probes that reused the previous probe's flow, and
-	// WarmAborts counts warm attempts abandoned because a capacity would
-	// have shrunk (non-monotone schedule change, e.g. a rate lowered via
-	// SetRate between solves — self-detected, never silently wrong). Both
-	// are cumulative across MinTime calls, unlike Probes/Iterations, so
-	// fault-degradation sequences can audit warm behavior over a whole
-	// schedule.
+	// WarmStarts counts MinTime's probes that continued the previous
+	// probe's flow instead of solving cold: every probe after a solve's
+	// first. Unlike Probes and Iterations it accumulates across MinTime
+	// calls; Reinit resets it.
 	WarmStarts int
-	WarmAborts int
-
-	// Warm-start bookkeeping: when warmOK, the graph holds a maximum flow
-	// of value warmFlow for the capacities of horizon warmT under the
-	// schedule applied at that probe, and the graph has not been mutated
-	// since (warmGen matches the graph's generation counter). Any mutation
-	// that bypasses the bisector — a direct SetCapacity, an external solve,
-	// an arena rebuild — advances the generation and auto-invalidates the
-	// warm state on the next probe: the monotonicity check alone only
-	// inspects registered edges, so without the generation guard a shrink
-	// elsewhere in the graph could silently warm-start from a flow that is
-	// no longer real.
-	warmT    float64
-	warmFlow float64
-	warmOK   bool
-	warmGen  uint64
 
 	// Min-cut scratch for MinTime, reused across solves: rateOf holds each
 	// forward edge's registered rate (indexed by id/2, -1 for edges that
@@ -116,44 +90,9 @@ func (b *TimeBisector) AddFixedEdge(e EdgeID, bytes float64) {
 	b.fixed = append(b.fixed, bytes)
 }
 
-// SetRate updates the bandwidth of a previously registered rate edge —
-// the fault-degradation hook (SSD throttles, PCIe downtrains) that lets a
-// schedule change between solves without rebuilding the network. The
-// warm-start machinery self-detects the change on the next probe: a rate
-// increase keeps warm continuation valid, a decrease makes the capacity
-// schedule non-monotone and forces a cold re-solve (counted in WarmAborts).
-func (b *TimeBisector) SetRate(e EdgeID, rate float64) error {
-	if rate < 0 || math.IsNaN(rate) {
-		return fmt.Errorf("maxflow: invalid rate %v", rate)
-	}
-	for i, re := range b.rateEdges {
-		if re == e {
-			b.rates[i] = rate
-			return nil
-		}
-	}
-	return fmt.Errorf("maxflow: edge %d is not a registered rate edge", e)
-}
-
-// SetFixed updates the byte budget of a previously registered fixed edge
-// (demand or supply repricing between solves). Like SetRate, decreases are
-// picked up by the warm-start monotonicity check and force a cold probe.
-func (b *TimeBisector) SetFixed(e EdgeID, bytes float64) error {
-	if bytes < 0 || math.IsNaN(bytes) {
-		return fmt.Errorf("maxflow: invalid byte budget %v", bytes)
-	}
-	for i, fe := range b.fixedEdges {
-		if fe == e {
-			b.fixed[i] = bytes
-			return nil
-		}
-	}
-	return fmt.Errorf("maxflow: edge %d is not a registered fixed edge", e)
-}
-
 // Reinit rebinds the bisector to a rebuilt graph, dropping every registered
-// edge, counter, and warm state while retaining slice capacity — the
-// bisector half of the graph arena reuse API (see Graph.Clear).
+// edge and counter while retaining slice capacity — the bisector half of
+// the graph arena reuse API (see Graph.Clear).
 func (b *TimeBisector) Reinit(g *Graph, s, t int, demand float64) {
 	b.G, b.S, b.T, b.Demand = g, s, t, demand
 	b.Ctx = nil
@@ -161,19 +100,8 @@ func (b *TimeBisector) Reinit(g *Graph, s, t int, demand float64) {
 	b.rates = b.rates[:0]
 	b.fixedEdges = b.fixedEdges[:0]
 	b.fixed = b.fixed[:0]
-	b.Probes, b.Iterations = 0, 0
-	b.WarmStarts, b.WarmAborts = 0, 0
-	b.warmOK = false
+	b.Probes, b.Iterations, b.WarmStarts = 0, 0, 0
 }
-
-// InvalidateWarm discards the warm-start state, forcing the next probe to
-// re-apply capacities and solve cold. Direct graph mutations (bypassing the
-// bisector) are also self-detected via the graph's generation counter, so
-// calling this is no longer required for correctness — it remains as an
-// explicit hint for callers that know their warm state is useless (e.g.
-// before a batch of shrinking edits). SetRate/SetFixed never need it: the
-// monotonicity check handles registered-schedule changes.
-func (b *TimeBisector) InvalidateWarm() { b.warmOK = false }
 
 // target returns the capacity of registered rate edge i at horizon t.
 func (b *TimeBisector) target(i int, t float64) float64 {
@@ -194,37 +122,9 @@ func (b *TimeBisector) apply(t float64) {
 	}
 }
 
-// monotone reports whether every registered edge's capacity at horizon t is
-// at least its current capacity on the graph — the condition under which
-// the flow already on the graph remains valid and warm continuation is
-// sound. A single shrinking edge (smaller horizon, or a rate/budget lowered
-// via SetRate/SetFixed) fails the check.
-func (b *TimeBisector) monotone(t float64) bool {
-	for i, e := range b.rateEdges {
-		if capShrinks(b.G.Capacity(e), b.target(i, t)) {
-			return false
-		}
-	}
-	for i, e := range b.fixedEdges {
-		if capShrinks(b.G.Capacity(e), b.fixed[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// capShrinks reports whether moving an edge from capacity cur to capacity
-// next would shrink it beyond tolerance.
-func capShrinks(cur, next float64) bool {
-	if math.IsInf(cur, 1) {
-		return !math.IsInf(next, 1)
-	}
-	return next < cur-Eps
-}
-
 // patch raises every registered edge to its horizon-t capacity in place,
-// preserving the flow on the graph. Callers must have established
-// monotone(t).
+// preserving the flow on the graph. t must be at least the horizon the
+// capacities were last set for, so no capacity shrinks.
 func (b *TimeBisector) patch(t float64) {
 	for i, e := range b.rateEdges {
 		b.G.RaiseCapacity(e, b.target(i, t))
@@ -235,42 +135,33 @@ func (b *TimeBisector) patch(t float64) {
 }
 
 // Feasible reports whether all demand can be delivered within horizon t,
-// leaving the corresponding flow on the graph. A horizon at or below zero
-// probes horizon 0, where finite-rate edges carry nothing.
-//
-// When the horizon is at or above the last solved one and no capacity
-// shrank in between, the probe warm-starts: capacities are raised in place
-// and the previous flow is extended by augmentation instead of re-solved
-// from scratch (identical value by max-flow/min-cut; see Graph.Augment).
+// solving cold and leaving the corresponding flow on the graph. A horizon
+// at or below zero probes horizon 0, where finite-rate edges carry nothing.
 func (b *TimeBisector) Feasible(t float64) bool {
+	return b.delivers(b.coldFlow(math.Max(t, 0)))
+}
+
+// coldFlow sets every registered capacity for horizon t and returns the
+// maximum flow solved from an empty graph, counting the probe.
+func (b *TimeBisector) coldFlow(t float64) float64 {
 	b.Probes++
-	if b.warmOK && b.G.gen != b.warmGen {
-		// The graph moved underneath us since the last probe (a direct
-		// capacity write, an external solve, an arena reuse): the recorded
-		// warm flow no longer describes the graph. Unlike a non-monotone
-		// schedule change this is not a WarmAbort — the schedule may be
-		// fine — it is simply stale state, discarded before it can lie.
-		b.warmOK = false
-	}
-	t = math.Max(t, 0)
-	var flow float64
-	switch {
-	case !b.DisableWarmStart && b.warmOK && t >= b.warmT && b.monotone(t):
-		b.WarmStarts++
-		b.patch(t)
-		flow = b.warmFlow + b.G.Augment(b.S, b.T)
-	default:
-		if !b.DisableWarmStart && b.warmOK && t >= b.warmT {
-			// Warm continuation was structurally available (growing
-			// horizon) but a capacity shrank underneath it: the schedule
-			// changed non-monotonically. Record the self-detected abort.
-			b.WarmAborts++
-		}
-		b.apply(t)
-		flow = b.G.MaxFlow(b.S, b.T)
-	}
-	b.warmT, b.warmFlow, b.warmOK = t, flow, true
-	b.warmGen = b.G.gen
+	b.apply(t)
+	return b.G.MaxFlow(b.S, b.T)
+}
+
+// warmFlow raises every registered capacity to horizon t, which must not
+// be below the last probe's, and returns the flow Augment adds to the one
+// already on the graph, counting the probe as a warm start.
+func (b *TimeBisector) warmFlow(t float64) float64 {
+	b.Probes++
+	b.WarmStarts++
+	b.patch(t)
+	return b.G.Augment(b.S, b.T)
+}
+
+// delivers reports whether a flow of the given value meets the demand,
+// within a relative slack that absorbs the solver's Eps.
+func (b *TimeBisector) delivers(flow float64) bool {
 	return flow >= b.Demand-relEps(b.Demand)
 }
 
@@ -308,8 +199,9 @@ const maxNewtonSteps = 64
 // and repeats until a probe is feasible — Newton's method on f (Dinkelbach's
 // method for ratio problems). Every cut's line lies on or above f, so no
 // step passes the true minimum T*; the horizon only grows, so each probe
-// after the first continues the previous flow warm. The first feasible
-// probe is T* to within Feasible's acceptance slack. A cut with R = 0 is
+// after the first raises the capacities in place and augments the previous
+// flow (Graph.Augment) instead of solving cold. The first feasible probe
+// is T* to within Feasible's acceptance slack. A cut with R = 0 is
 // made of byte budgets alone and carries less than the demand at every
 // horizon: ErrInfeasible.
 //
@@ -326,9 +218,9 @@ func (b *TimeBisector) MinTime(tol float64) (float64, error) {
 		tol = 1e-4
 	}
 	b.markRates()
-	b.warmOK = false // every solve starts cold at horizon 0
 	t := 0.0
-	for !b.Feasible(t) {
+	flow := b.coldFlow(t)
+	for !b.delivers(flow) {
 		if b.Iterations == maxNewtonSteps {
 			return 0, fmt.Errorf("maxflow: minimum horizon did not converge in %d Newton steps", maxNewtonSteps)
 		}
@@ -349,6 +241,7 @@ func (b *TimeBisector) MinTime(tol float64) (float64, error) {
 		}
 		b.Iterations++
 		t = next
+		flow += b.warmFlow(t)
 	}
 	return t, nil
 }
@@ -392,17 +285,4 @@ func (b *TimeBisector) cutLine() (r, f float64) {
 		}
 	}
 	return r, f
-}
-
-// Throughput returns demand/minTime in bytes/second, the aggregate delivery
-// rate the paper reports as a placement candidate's predicted throughput.
-func (b *TimeBisector) Throughput(tol float64) (float64, error) {
-	t, err := b.MinTime(tol)
-	if err != nil {
-		return 0, err
-	}
-	if t == 0 {
-		return math.Inf(1), nil
-	}
-	return b.Demand / t, nil
 }

@@ -12,7 +12,9 @@ import (
 //
 //  1. the returned minimum time is exact — feasible, and at most
 //     T*·(1+1e-9) where T* solves the closed form to float precision;
-//  2. feasibility is monotone in the horizon — if all demand fits in t
+//  2. every probe after MinTime's cold horizon-0 solve continues the
+//     previous flow warm, so it warm-starts exactly Probes−1 times;
+//  3. feasibility is monotone in the horizon — if all demand fits in t
 //     seconds it fits in any longer horizon.
 //
 // Minimality is checked against T*, not as "infeasible at min·(1−δ)":
@@ -55,6 +57,9 @@ func FuzzTimeBisector(f *testing.F) {
 		min, err := b.MinTime(tol)
 		if err != nil {
 			t.Fatalf("feasible-by-construction instance failed: %v", err)
+		}
+		if b.WarmStarts != b.Probes-1 {
+			t.Fatalf("%d warm starts in %d probes, want %d", b.WarmStarts, b.Probes, b.Probes-1)
 		}
 		if min <= 0 || math.IsInf(min, 1) || math.IsNaN(min) {
 			t.Fatalf("MinTime = %v for positive demand %v", min, b.Demand)

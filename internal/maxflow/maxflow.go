@@ -42,12 +42,6 @@ type Graph struct {
 	resid []float64 // remaining (residual) capacity
 	label []string  // optional node labels for diagnostics
 	stats SolveStats
-	// gen is bumped by every operation that changes capacities, flow, or
-	// structure. Consumers that cache conclusions about the graph's state
-	// (the TimeBisector's warm flow) record the generation they observed
-	// and treat a mismatch as "the graph moved underneath me". Clone
-	// copies it.
-	gen uint64
 	// Dinic scratch, reused across solves so a solve allocates nothing;
 	// Clone starts without it.
 	level []int32
@@ -67,12 +61,6 @@ type SolveStats struct {
 
 // Stats returns the cumulative solver work counters.
 func (g *Graph) Stats() SolveStats { return g.stats }
-
-// Generation returns a counter that advances on every mutation of the
-// graph — capacity writes, flow changes (solves, Reset), and structural
-// edits. Two reads returning the same value bracket a window in which the
-// graph was untouched.
-func (g *Graph) Generation() uint64 { return g.gen }
 
 // New returns an empty flow network with n nodes, numbered 0..n-1.
 func New(n int) *Graph {
@@ -130,7 +118,6 @@ func (g *Graph) AddEdge(u, v int, capacity float64) EdgeID {
 	g.resid = append(g.resid, capacity, 0)
 	g.head[u] = append(g.head[u], id)
 	g.head[v] = append(g.head[v], id^1)
-	g.gen++
 	return id
 }
 
@@ -147,7 +134,6 @@ func (g *Graph) SetCapacity(e EdgeID, capacity float64) {
 	g.cap[e] = capacity
 	g.resid[e] = capacity
 	g.resid[e^1] = 0
-	g.gen++
 }
 
 // checkForwardEdge panics when e is out of range or names a residual
@@ -208,13 +194,11 @@ func (g *Graph) RaiseCapacity(e EdgeID, capacity float64) {
 		// becomes unbounded.
 		g.cap[e] = capacity
 		g.resid[e] = capacity
-		g.gen++
 		return
 	}
 	if delta := capacity - cur; delta > 0 {
 		g.cap[e] = capacity
 		g.resid[e] += delta
-		g.gen++
 	}
 }
 
@@ -224,7 +208,6 @@ func (g *Graph) Reset() {
 		g.resid[e] = g.cap[e]
 		g.resid[e+1] = 0
 	}
-	g.gen++
 }
 
 // Clear empties the graph — zero nodes, zero edges — while retaining every
@@ -241,7 +224,6 @@ func (g *Graph) Clear() {
 	g.resid = g.resid[:0]
 	g.label = g.label[:0]
 	g.n = 0
-	g.gen++
 }
 
 // Clone returns a deep copy of the graph including current flow.
@@ -254,7 +236,6 @@ func (g *Graph) Clone() *Graph {
 		resid: append([]float64(nil), g.resid...),
 		label: append([]string(nil), g.label...),
 		stats: g.stats,
-		gen:   g.gen,
 	}
 	for v := range g.head {
 		c.head[v] = append([]EdgeID(nil), g.head[v]...)
@@ -267,7 +248,6 @@ func (g *Graph) Clone() *Graph {
 func (g *Graph) MaxFlow(s, t int) float64 {
 	g.checkTerminals(s, t)
 	g.stats.Solves++
-	g.gen++
 	g.Reset()
 	return g.dinic(s, t)
 }
@@ -283,7 +263,6 @@ func (g *Graph) MaxFlow(s, t int) float64 {
 func (g *Graph) Augment(s, t int) float64 {
 	g.checkTerminals(s, t)
 	g.stats.Solves++
-	g.gen++
 	return g.dinic(s, t)
 }
 

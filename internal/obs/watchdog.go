@@ -13,9 +13,9 @@ import (
 
 // The anomaly watchdog closes the forensics loop: EWMA/threshold rules
 // evaluated over the metrics registry (shed rate, queue depth, epoch-time
-// regression against a learned baseline, warm-abort rate) that, on trip,
-// snapshot the flight recorder plus goroutine/heap profiles into a
-// timestamped diagnostics bundle. By the time an operator looks, the
+// regression against a learned baseline) that, on trip, snapshot the
+// flight recorder plus goroutine/heap profiles into a timestamped
+// diagnostics bundle. By the time an operator looks, the
 // evidence — the last few thousand flight events *spanning* the trigger —
 // is already on disk.
 
@@ -27,7 +27,7 @@ const (
 	// queue depth, inflight runs).
 	RuleMax RuleKind = iota
 	// RuleDeltaMax trips when the series grew by more than Max since the
-	// previous Check (counters: sheds, warm aborts — a per-interval rate).
+	// previous Check (counters such as sheds — a per-interval rate).
 	RuleDeltaMax
 	// RuleRegress trips when the series exceeds Factor times its own EWMA
 	// baseline after MinSamples observations (gauges with a learned normal:

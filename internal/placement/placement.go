@@ -162,11 +162,6 @@ func Dedupe(m *topology.Machine, ps []*topology.Placement) ([]*topology.Placemen
 
 // Options tunes the placement search.
 type Options struct {
-	// Tolerance bounds each score from above (default 1e-4): the solver
-	// returns a feasible horizon at most (1+Tolerance) times the exact
-	// minimum, which its Newton steps reach in practice. It is part of the
-	// score-cache key.
-	Tolerance float64
 	// Parallelism bounds concurrent candidate evaluations
 	// (default GOMAXPROCS).
 	Parallelism int
@@ -243,33 +238,14 @@ type scoredSeq struct {
 	hit bool
 }
 
-// CacheKey returns the score-cache key under which Search and replans
-// memoize candidate p's predicted time: the canonical placement
-// class prefixed with machine-rate and demand fingerprints plus the
-// solver tolerance, so one shared cache serves different machines,
-// demands, and tolerances without collisions.
-func CacheKey(m *topology.Machine, p *topology.Placement, d *flownet.Demand, tol float64) (string, error) {
-	return CacheKeyFaults(m, p, d, tol, "")
-}
-
-// CacheKeyFaults is CacheKey for searches run under an injected fault
-// schedule: faultsKey (Options.FaultsKey, typically faults.Format output)
-// joins the prefix so schedules with identical machine/demand fingerprints
-// occupy disjoint cache keyspaces.
-func CacheKeyFaults(m *topology.Machine, p *topology.Placement, d *flownet.Demand, tol float64, faultsKey string) (string, error) {
-	key, err := CanonicalKey(m, p)
-	if err != nil {
-		return "", err
-	}
-	return cachePrefix(m, d, tol, faultsKey) + key, nil
-}
-
 // cachePrefix fingerprints everything that determines a candidate's score
-// besides its canonical placement class: the machine's link rates and
-// device counts (CanonicalKey covers attach-point structure but not fabric
-// bandwidths — two machines can differ only in QPIBW), the demand vector,
-// the tolerance, and the fault schedule the scores were computed under.
-func cachePrefix(m *topology.Machine, d *flownet.Demand, tol float64, faultsKey string) string {
+// besides its canonical placement class, which completes its score-cache
+// key: the machine's link rates, each attach point's exact uplink rate and
+// the device counts (CanonicalKey covers attach-point structure but not
+// fabric bandwidths — two machines can differ only in QPIBW — and prints
+// uplinks to three decimals only), the demand vector, and the fault
+// schedule the scores were computed under.
+func cachePrefix(m *topology.Machine, d *flownet.Demand, faultsKey string) string {
 	h := scorecache.NewHasher()
 	h.Float(float64(m.QPIBW)).Float(float64(m.DRAMBW))
 	h.Float(float64(m.PCIeX16)).Float(float64(m.PCIeX4))
@@ -279,7 +255,10 @@ func cachePrefix(m *topology.Machine, d *flownet.Demand, tol float64, faultsKey 
 	for _, nv := range m.NVLinks {
 		h.Uint(uint64(nv.A)).Uint(uint64(nv.B))
 	}
-	h.Float(tol)
+	h.Uint(uint64(len(m.Points)))
+	for _, pt := range m.Points {
+		h.Float(float64(pt.UplinkBW))
+	}
 	h.String(faultsKey)
 	return fmt.Sprintf("%x|%x|", h.Sum(), d.Fingerprint())
 }
@@ -357,9 +336,6 @@ func (c *collector) merge(o *collector) {
 // (disconnected demand) are skipped; with Options.Cache, previously seen
 // candidates skip the max-flow solve entirely.
 func Search(m *topology.Machine, d *flownet.Demand, opt Options) (*Result, error) {
-	if opt.Tolerance <= 0 {
-		opt.Tolerance = 1e-4
-	}
 	if opt.Parallelism <= 0 {
 		opt.Parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -387,7 +363,7 @@ func Search(m *topology.Machine, d *flownet.Demand, opt Options) (*Result, error
 
 	st := &searchState{m: m, d: d, opt: opt, o: o, sp: sp, ex: opt.Explain}
 	if opt.Cache != nil {
-		st.prefix = cachePrefix(m, d, opt.Tolerance, opt.FaultsKey)
+		st.prefix = cachePrefix(m, d, opt.FaultsKey)
 	}
 
 	cols := make([]collector, min(opt.Parallelism, total))
@@ -473,7 +449,7 @@ func Search(m *topology.Machine, d *flownet.Demand, opt Options) (*Result, error
 	sp.SetInt("cache_hits", res.CacheHits)
 	sp.SetFloat("best_seconds", res.Time.Sec())
 	if Check != nil {
-		if err := Check(m, d, opt, res); err != nil {
+		if err := Check(m, d, res); err != nil {
 			return nil, fmt.Errorf("placement: self-check failed: %w", err)
 		}
 	}
@@ -553,7 +529,7 @@ func (st *searchState) dispatch(gpuDists, ssdDists [][]int, candc chan<- cand) e
 // valid). Installed by internal/verify when self-verification is enabled;
 // declared here rather than imported so placement does not depend on the
 // verification subsystem.
-var Check func(m *topology.Machine, d *flownet.Demand, opt Options, res *Result) error
+var Check func(m *topology.Machine, d *flownet.Demand, res *Result) error
 
 // evalHook, when non-nil, is invoked at the start of every candidate
 // evaluation (test instrumentation for the concurrency bound).
@@ -622,7 +598,7 @@ func score(st *searchState, c cand, scratch *flownet.Network) (Scored, *flownet.
 	}
 	n.SetObserver(o)
 	n.SetContext(st.opt.Ctx)
-	t, err := n.SolveTol(st.opt.Tolerance)
+	t, err := n.Solve()
 	probes, iters, _, _ := n.SolveCounters()
 	if err != nil {
 		sp.SetStr("error", err.Error())

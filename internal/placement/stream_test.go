@@ -35,6 +35,19 @@ func degradedB() *topology.Machine {
 	return m
 }
 
+// fasterUplinkB is machine B with sw0's uplink 0.0004 GiB/s faster: a
+// different flow network under the same CanonicalKey, which prints
+// uplinks to three decimals.
+func fasterUplinkB() *topology.Machine {
+	m := topology.MachineB()
+	for i := range m.Points {
+		if m.Points[i].ID == "sw0" {
+			m.Points[i].UplinkBW += units.GiBps(0.0004)
+		}
+	}
+	return m
+}
+
 // oracleResult is what the serial oracle knows about a search: the
 // winner, every score in (time, enumeration index) order, and the counts
 // behind the placement_candidates_* counters.
@@ -250,10 +263,11 @@ func TestSearchCacheShortCircuits(t *testing.T) {
 	}
 }
 
-// TestSearchCacheKeySeparation shares one cache across a healthy and a
-// QPI-degraded machine (same attach-point structure, different fabric
-// rates) and across two demands: nothing may cross-hit, and every result
-// must match its cache-free baseline.
+// TestSearchCacheKeySeparation shares one cache across a healthy machine,
+// a QPI-degraded one and one whose switch uplink differs below
+// CanonicalKey's print precision (same attach-point structure, different
+// fabric rates), and across two demands: nothing may cross-hit, and every
+// kept score must equal its cache-free baseline exactly.
 func TestSearchCacheKeySeparation(t *testing.T) {
 	cache := scorecache.NewScores(4096)
 	type run struct {
@@ -264,21 +278,31 @@ func TestSearchCacheKeySeparation(t *testing.T) {
 		{topology.MachineB(), demand(4)},
 		{degradedB(), demand(4)},                  // same keys structurally, different QPI rate
 		{topology.MachineB(), scaledDemand(4, 2)}, // same machine, different demand
+		{fasterUplinkB(), demand(4)},              // same CanonicalKey text, different uplink
 	}
 	for i, r := range runs {
-		cached, err := Search(r.m, r.d, Options{Cache: cache})
+		cached, err := Search(r.m, r.d, Options{Cache: cache, KeepScores: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cached.CacheHits != 0 {
 			t.Errorf("run %d: %d cross-hits from a different machine/demand", i, cached.CacheHits)
 		}
-		plain, err := Search(r.m, r.d, Options{})
+		plain, err := Search(r.m, r.d, Options{KeepScores: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cached.Time != plain.Time {
 			t.Errorf("run %d: cached %v vs plain %v", i, cached.Time, plain.Time)
+		}
+		differ := 0
+		for j := range plain.Scores {
+			if cached.Scores[j].Time != plain.Scores[j].Time {
+				differ++
+			}
+		}
+		if differ > 0 {
+			t.Errorf("run %d: %d of %d kept scores differ from the cache-free search", i, differ, len(plain.Scores))
 		}
 	}
 }
@@ -356,23 +380,23 @@ func TestSearchCacheInfeasibleMemoized(t *testing.T) {
 	}
 }
 
-// TestCacheKeyExported sanity-checks the exported key constructor against
-// the keys Search writes.
-func TestCacheKeyExported(t *testing.T) {
+// TestCacheKeyHoldsWinner checks the score-cache key layout, cachePrefix
+// followed by the canonical class, against the keys Search writes.
+func TestCacheKeyHoldsWinner(t *testing.T) {
 	m := topology.MachineA()
 	d := demand(4)
 	cache := scorecache.NewScores(1024)
-	res, err := Search(m, d, Options{Cache: cache, Tolerance: 1e-4})
+	res, err := Search(m, d, Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := CacheKey(m, res.Best, d, 1e-4)
+	class, err := CanonicalKey(m, res.Best)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ok := cache.Get(key)
+	s, ok := cache.Get(cachePrefix(m, d, "") + class)
 	if !ok {
-		t.Fatal("winner's CacheKey not present in cache")
+		t.Fatal("winner's cache key not present in cache")
 	}
 	if s.Infeasible {
 		t.Fatal("winner cached as infeasible")

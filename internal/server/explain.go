@@ -100,9 +100,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Machine:  cr.machine,
 		Workload: cr.wl,
 		Search: placement.Options{
-			Tolerance: cr.tol,
-			Explain:   ex,
-			Ctx:       ctx,
+			Explain: ex,
+			Ctx:     ctx,
 		},
 		Observer: s.obs,
 	}

@@ -5,7 +5,7 @@
 // Two requests that describe the same planning problem — same machine
 // (builtin name or spec text, compared after parse/re-format so formatting
 // and comment differences vanish), same normalized workload, same fault
-// schedule, same tolerance — canonicalize to the same fingerprint, which is
+// schedule — canonicalize to the same fingerprint, which is
 // what request coalescing and the cross-tenant plan cache key on. Fields
 // that only shape the response (tenant, top_k, deadline) stay out of the
 // key, so requests differing only in those still share one planner run.
@@ -13,7 +13,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -63,13 +62,9 @@ type WorkloadSpec struct {
 	Fanouts   []int  `json:"fanouts,omitempty"`    // default [25,10]
 }
 
-// SearchSpec tunes the placement search.
+// SearchSpec shapes the placement search's response.
 type SearchSpec struct {
-	// Tolerance bounds each score from above, default 1e-4: a candidate's
-	// horizon is at most (1+tolerance) times its exact minimum. It is
-	// part of the request fingerprint.
-	Tolerance float64 `json:"tolerance,omitempty"`
-	TopK      int     `json:"top_k,omitempty"` // ranked placements to return, default 1
+	TopK int `json:"top_k,omitempty"` // ranked placements to return, default 1
 }
 
 // PlanResponse is the JSON body of a successful plan.
@@ -144,7 +139,6 @@ type canonReq struct {
 	machine *topology.Machine
 	name    string // display name for the machine
 	wl      trainsim.Workload
-	tol     float64
 	faults  *faults.Schedule
 
 	topK     int
@@ -232,13 +226,6 @@ func canonicalize(req *PlanRequest, defaultDeadline, maxDeadline time.Duration) 
 		Fanouts:   append([]int(nil), req.Workload.Fanouts...),
 	}.Defaults()
 
-	tol := req.Search.Tolerance
-	if tol < 0 || math.IsNaN(tol) || math.IsInf(tol, 0) {
-		return nil, badReq("search.tolerance must be a finite value >= 0")
-	}
-	if tol == 0 {
-		tol = 1e-4
-	}
 	topK := req.Search.TopK
 	if topK < 0 {
 		return nil, badReq("search.top_k must be >= 0")
@@ -273,12 +260,11 @@ func canonicalize(req *PlanRequest, defaultDeadline, maxDeadline time.Duration) 
 		machine:  m,
 		name:     m.Name,
 		wl:       wl,
-		tol:      tol,
 		faults:   sched,
 		topK:     topK,
 		deadline: deadline,
 	}
-	cr.key = fingerprint(m, wl, tol, sched)
+	cr.key = fingerprint(m, wl, sched)
 	return cr, nil
 }
 
@@ -287,7 +273,7 @@ func canonicalize(req *PlanRequest, defaultDeadline, maxDeadline time.Duration) 
 // canonicalizing round trip: comments, blank lines and number formatting
 // vanish), the fault schedule as its formatted grammar, and the workload
 // as its post-Defaults field values.
-func fingerprint(m *topology.Machine, wl trainsim.Workload, tol float64, sched *faults.Schedule) string {
+func fingerprint(m *topology.Machine, wl trainsim.Workload, sched *faults.Schedule) string {
 	h := scorecache.NewHasher()
 	h.String(topology.FormatSpec(m))
 	h.String(wl.Dataset.Name)
@@ -299,7 +285,6 @@ func fingerprint(m *topology.Machine, wl trainsim.Workload, tol float64, sched *
 	}
 	h.Float(wl.DedupFactor)
 	h.Uint(uint64(wl.EpochBatches))
-	h.Float(tol)
 	if sched != nil {
 		h.String(faults.Format(sched))
 	}

@@ -97,9 +97,8 @@ type Config struct {
 }
 
 // DefaultWatchdogRules is the rule set a WatchdogDir-configured server runs
-// with: a shed storm (sheds per check interval), queue saturation, an
-// epoch-time regression against the learned baseline, and a warm-abort
-// storm in the bisector.
+// with: a shed storm (sheds per check interval), queue saturation, and an
+// epoch-time regression against the learned baseline.
 func DefaultWatchdogRules(cfg Config) []obs.Rule {
 	return []obs.Rule{
 		{Name: "shed-storm", Series: "momentd_shed_total", Kind: obs.RuleDeltaMax, Max: 50},
@@ -107,7 +106,6 @@ func DefaultWatchdogRules(cfg Config) []obs.Rule {
 			Max: 0.9 * float64(cfg.QueueDepth)},
 		{Name: "epoch-regress", Series: "trainsim_epoch_seconds", Kind: obs.RuleRegress,
 			Factor: 2, MinSamples: 5},
-		{Name: "warm-abort-storm", Series: "maxflow_warm_aborts_total", Kind: obs.RuleDeltaMax, Max: 1000},
 	}
 }
 
@@ -579,7 +577,6 @@ func (s *Server) planReal(ctx context.Context, cr *canonReq) (*planResult, error
 		Machine:  cr.machine,
 		Workload: cr.wl,
 		Search: placement.Options{
-			Tolerance:  cr.tol,
 			KeepScores: true,
 			Cache:      s.scores,
 			Ctx:        ctx,

@@ -609,6 +609,7 @@ func TestBadRequests(t *testing.T) {
 	}{
 		{"not json", "{", http.StatusBadRequest},
 		{"unknown field", `{"machne":"B"}`, http.StatusBadRequest},
+		{"retired search tolerance", `{"machine":"B","workload":{"dataset":"PA"},"search":{"tolerance":1e-4}}`, http.StatusBadRequest},
 		{"unknown machine", `{"machine":"Z","workload":{"dataset":"PA"}}`, http.StatusBadRequest},
 		{"missing dataset", `{"machine":"B","workload":{}}`, http.StatusBadRequest},
 		{"unknown dataset", `{"machine":"B","workload":{"dataset":"XX"}}`, http.StatusBadRequest},

@@ -241,7 +241,7 @@ func simulateDegradedIO(in degradeInput) (float64, *FaultReport, error) {
 		}
 		if in.cfg.Policy != PolicyHash {
 			if repl == nil {
-				repl, err = newReplannerFromItems(in.items, in.bins, in.cfg.PoolN, in.fetchEpoch, faults.Format(in.cfg.Faults))
+				repl, err = newReplannerFromItems(in.items, in.bins, in.cfg.PoolN, in.fetchEpoch)
 				if err != nil {
 					return 0, nil, err
 				}
@@ -334,10 +334,8 @@ func rerouteStranded(next []flowSpec, stranded map[int]float64, cfg Config, bins
 
 // newReplannerFromItems seeds an adaptive replanner with the epoch's item
 // profile so degradation re-solves account their migration bill against
-// the layout actually in force. scheduleKey (faults.Format output) salts
-// the replanner's layout fingerprints so a shared layout cache never
-// serves one schedule's degraded layouts to another.
-func newReplannerFromItems(items []ddak.Item, bins []ddak.Bin, poolN int, fetchEpoch float64, scheduleKey string) (*adaptive.Replanner, error) {
+// the layout actually in force.
+func newReplannerFromItems(items []ddak.Item, bins []ddak.Bin, poolN int, fetchEpoch float64) (*adaptive.Replanner, error) {
 	hot := make([]float64, len(items))
 	sizes := make([]float64, len(items))
 	for i, it := range items {
@@ -345,12 +343,7 @@ func newReplannerFromItems(items []ddak.Item, bins []ddak.Bin, poolN int, fetchE
 		sizes[i] = it.Bytes
 	}
 	// The threshold is irrelevant on the Rebin path; any valid value works.
-	r, err := adaptive.NewReplanner(hot, sizes, bins, poolN, fetchEpoch, 0.5)
-	if err != nil {
-		return nil, err
-	}
-	r.ScheduleKey = scheduleKey
-	return r, nil
+	return adaptive.NewReplanner(hot, sizes, bins, poolN, fetchEpoch, 0.5)
 }
 
 // stragglerCompute stretches the per-GPU compute stage under GPU slowdown

@@ -76,45 +76,6 @@ func CheckNetwork(n *flownet.Network) error {
 	return nil
 }
 
-// CheckAssignment audits a DDAK vertex layout: Assignment.Validate plus
-// access accounting (per-bin Access must equal the hotness mass of the
-// vertices placed there) and the traffic-matching rule that zero-budget
-// bins are last-resort — they may hold vertices only once every budgeted
-// bin is full. Installed as ddak.Check by Enable.
-func CheckAssignment(a *ddak.Assignment, hot []float64, bytesPerVertex float64) error {
-	if len(a.Of) != len(hot) {
-		return fmt.Errorf("verify: %d vertices placed, %d profiled", len(a.Of), len(hot))
-	}
-	if err := a.Validate(bytesPerVertex); err != nil {
-		return err
-	}
-	access := make([]float64, len(a.Bins))
-	for v, b := range a.Of {
-		access[b] += hot[v]
-	}
-	for i := range a.Bins {
-		if math.Abs(access[i]-a.Access[i]) > tol(access[i]) {
-			return fmt.Errorf("verify: bin %s access accounting %.6g, recomputed %.6g",
-				a.Bins[i].Name, a.Access[i], access[i])
-		}
-	}
-	spilled := false
-	for i, b := range a.Bins {
-		if b.Traffic <= 0 && a.Used[i] > 0 {
-			spilled = true
-			break
-		}
-	}
-	if spilled {
-		for i, b := range a.Bins {
-			if b.Traffic > 0 && a.Used[i]+bytesPerVertex <= b.Capacity+tol(b.Capacity) {
-				return fmt.Errorf("verify: zero-traffic bin holds vertices while budgeted bin %s has free space", b.Name)
-			}
-		}
-	}
-	return nil
-}
-
 // CheckItemAssignment audits a DDAK item layout: every item placed in a
 // real bin, per-bin Used/Access accounting reproducible from the item list,
 // and no bin over its byte capacity. Installed as ddak.CheckItems by
@@ -152,7 +113,7 @@ func CheckItemAssignment(a *ddak.ItemAssignment, items []ddak.Item) error {
 // against the machine, re-scoring it reproduces the reported time, and the
 // reported throughput is consistent with demand/time. Installed as
 // placement.Check by Enable.
-func CheckSearchResult(m *topology.Machine, d *flownet.Demand, opt placement.Options, res *placement.Result) error {
+func CheckSearchResult(m *topology.Machine, d *flownet.Demand, res *placement.Result) error {
 	if res.Best == nil {
 		return fmt.Errorf("verify: search returned no placement")
 	}
@@ -166,7 +127,7 @@ func CheckSearchResult(m *topology.Machine, d *flownet.Demand, opt placement.Opt
 	if err != nil {
 		return fmt.Errorf("verify: winner does not rebuild: %w", err)
 	}
-	t2, err := n.SolveTol(opt.Tolerance)
+	t2, err := n.Solve()
 	if err != nil {
 		return fmt.Errorf("verify: winner does not re-solve: %w", err)
 	}

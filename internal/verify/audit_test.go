@@ -115,31 +115,6 @@ func auditHot(n int) []float64 {
 	return hot
 }
 
-func TestCheckAssignmentAuditsPlace(t *testing.T) {
-	hot := auditHot(400)
-	a, err := ddak.Place(hot, 1, auditBins(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckAssignment(a, hot, 1); err != nil {
-		t.Fatalf("genuine layout failed the audit: %v", err)
-	}
-
-	// Corrupt the access accounting: the audit must recompute and object.
-	a.Access[0] += 5
-	if err := CheckAssignment(a, hot, 1); err == nil {
-		t.Fatal("corrupted access accounting passed")
-	} else if !strings.Contains(err.Error(), "access accounting") {
-		t.Fatalf("wrong failure: %v", err)
-	}
-	a.Access[0] -= 5
-
-	// A profile/layout length mismatch must be rejected outright.
-	if err := CheckAssignment(a, hot[:len(hot)-1], 1); err == nil {
-		t.Fatal("length mismatch passed")
-	}
-}
-
 func TestCheckItemAssignmentAuditsPlaceItems(t *testing.T) {
 	hot := auditHot(300)
 	items := make([]ddak.Item, len(hot))
@@ -171,30 +146,29 @@ func TestCheckItemAssignmentAuditsPlaceItems(t *testing.T) {
 func TestCheckSearchResultAuditsSearch(t *testing.T) {
 	m := topology.MachineA()
 	d := demandA(4)
-	opt := placement.Options{Tolerance: 1e-4, Parallelism: 2}
-	res, err := placement.Search(m, d, opt)
+	res, err := placement.Search(m, d, placement.Options{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckSearchResult(m, d, opt, res); err != nil {
+	if err := CheckSearchResult(m, d, res); err != nil {
 		t.Fatalf("genuine search result failed the audit: %v", err)
 	}
 
 	tampered := *res
 	tampered.Time = res.Time * 2
-	if err := CheckSearchResult(m, d, opt, &tampered); err == nil {
+	if err := CheckSearchResult(m, d, &tampered); err == nil {
 		t.Fatal("tampered time passed the audit")
 	}
 	tampered = *res
 	tampered.Best = nil
-	if err := CheckSearchResult(m, d, opt, &tampered); err == nil {
+	if err := CheckSearchResult(m, d, &tampered); err == nil {
 		t.Fatal("missing winner passed the audit")
 	}
 }
 
 func TestSearchDeterminismAcrossParallelism(t *testing.T) {
 	m := topology.MachineA()
-	if err := CheckSearchDeterminism(m, demandA(4), placement.Options{Tolerance: 1e-4}); err != nil {
+	if err := CheckSearchDeterminism(m, demandA(4), placement.Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -207,7 +181,7 @@ func TestEnableDisableHooks(t *testing.T) {
 	}
 	Enable()
 	defer Disable()
-	if !Enabled() || flownet.Check == nil || placement.Check == nil || ddak.Check == nil || ddak.CheckItems == nil {
+	if !Enabled() || flownet.Check == nil || placement.Check == nil || ddak.CheckItems == nil {
 		t.Fatal("Enable did not install all hooks")
 	}
 	Enable() // idempotent
@@ -218,9 +192,6 @@ func TestEnableDisableHooks(t *testing.T) {
 		t.Fatal("solve under verification produced no horizon")
 	}
 	hot := auditHot(200)
-	if _, err := ddak.Place(hot, 1, auditBins(), 4); err != nil {
-		t.Fatalf("Place under verification: %v", err)
-	}
 	items := make([]ddak.Item, len(hot))
 	for i, h := range hot {
 		items[i] = ddak.Item{Hot: h, Bytes: 1}
@@ -233,7 +204,7 @@ func TestEnableDisableHooks(t *testing.T) {
 	}
 
 	Disable()
-	if Enabled() || flownet.Check != nil || placement.Check != nil || ddak.Check != nil || ddak.CheckItems != nil {
+	if Enabled() || flownet.Check != nil || placement.Check != nil || ddak.CheckItems != nil {
 		t.Fatal("Disable did not remove all hooks")
 	}
 	Disable() // idempotent

@@ -9,12 +9,12 @@
 //   - CheckFlow / CheckDecompose certify a solved maxflow.Graph: per-node
 //     conservation, capacity respect under Eps semantics, and the
 //     max-flow = min-cut duality certificate.
-//   - CheckNetwork, CheckAssignment, CheckItemAssignment, CheckSearchResult,
-//     and CheckSearchDeterminism audit the planner-facing invariants of
+//   - CheckNetwork, CheckItemAssignment, CheckSearchResult, and
+//     CheckSearchDeterminism audit the planner-facing invariants of
 //     flownet, ddak, and placement.
 //
 // Enable installs the audits as self-check hooks inside flownet.Solve,
-// placement.Search, and ddak.Place/PlaceItems, so every planner run
+// placement.Search, and ddak.PlaceItems, so every planner run
 // certifies its own output (momentopt -verify). The hooked packages declare
 // plain function variables rather than importing this package, keeping the
 // dependency arrow pointing one way.
@@ -34,7 +34,7 @@ var (
 )
 
 // Enable turns on planner self-verification: every subsequent
-// flownet.Solve, placement.Search, ddak.Place, and ddak.PlaceItems audits
+// flownet.Solve, placement.Search, and ddak.PlaceItems audits
 // its result and fails loudly instead of returning a silently wrong plan.
 // Safe to call more than once.
 func Enable() {
@@ -46,7 +46,6 @@ func Enable() {
 	enabled = true
 	flownet.Check = CheckNetwork
 	placement.Check = CheckSearchResult
-	ddak.Check = CheckAssignment
 	ddak.CheckItems = CheckItemAssignment
 }
 
@@ -60,7 +59,6 @@ func Disable() {
 	enabled = false
 	flownet.Check = nil
 	placement.Check = nil
-	ddak.Check = nil
 	ddak.CheckItems = nil
 }
 

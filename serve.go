@@ -53,7 +53,7 @@ func PprofHandler() http.Handler { return server.PprofHandler() }
 
 // DefaultWatchdogRules is the anomaly rule set a WatchdogDir-configured
 // PlanServer runs with (shed storm, queue saturation, epoch-time
-// regression, warm-abort storm).
+// regression).
 func DefaultWatchdogRules(cfg PlanServerConfig) []WatchdogRule {
 	return server.DefaultWatchdogRules(cfg)
 }
