@@ -97,12 +97,8 @@ func BenchmarkMaxFlowDinic(b *testing.B) {
 func benchSearch(b *testing.B, opt placement.Options) {
 	b.Helper()
 	m := MachineB()
-	first, err := placement.FirstCandidate(m)
-	if err != nil {
-		b.Fatal(err)
-	}
 	dem, _, err := trainsim.PlanDemand(trainsim.Config{
-		Machine: m, Placement: first,
+		Machine:  m,
 		Workload: Workload{Dataset: MustDataset("IG"), Model: GraphSAGE},
 	})
 	if err != nil {

@@ -106,22 +106,23 @@ func CoOptimize(in Input) (*Plan, error) {
 		return nil, err
 	}
 
-	// Step 3: demand formulation + placement search. The demand depends
-	// only on tier capacities and the workload, not on slot positions, so
-	// one demand serves all candidates.
+	// Step 3: demand formulation + placement search. The workload plan
+	// (stats, cache organization, demand) depends only on tier capacities
+	// and the workload, not on slot positions, so one plan serves every
+	// candidate and the winner's simulation.
 	simCfg := in.Sim
 	simCfg.Machine = in.Machine
 	simCfg.Workload = in.Workload
-	// Demand construction needs *some* valid placement; use the first
-	// enumerated candidate.
-	first, err := placement.FirstCandidate(in.Machine)
+	if simCfg.Observer == nil {
+		simCfg.Observer = scoped
+	}
+	demSp := sp.Child("demand")
+	wp, err := trainsim.PlanWorkload(simCfg)
+	demSp.End()
 	if err != nil {
 		return nil, err
 	}
-	simCfg.Placement = first
-	demSp := sp.Child("demand")
-	dem, _, err := trainsim.PlanDemand(simCfg)
-	demSp.End()
+	dem, _, err := wp.Demand()
 	if err != nil {
 		return nil, err
 	}
@@ -146,11 +147,7 @@ func CoOptimize(in Input) (*Plan, error) {
 	}
 
 	// Step 4: DDAK data placement + epoch simulation under the winner.
-	simCfg.Placement = res.Best
-	if simCfg.Observer == nil {
-		simCfg.Observer = scoped
-	}
-	epoch, err := trainsim.SimulateEpoch(simCfg)
+	epoch, err := wp.SimulateEpoch(res.Best)
 	if err != nil {
 		return nil, err
 	}

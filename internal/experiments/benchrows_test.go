@@ -40,11 +40,7 @@ func fleetSweep(nodes int) (sweepRow, error) {
 	w := wl("IG", gnn.KindSAGE)
 	demands := map[string]*flownet.Demand{}
 	for _, m := range machines {
-		first, err := placement.FirstCandidate(m)
-		if err != nil {
-			return sweepRow{}, err
-		}
-		dem, _, err := trainsim.PlanDemand(trainsim.Config{Machine: m, Placement: first, Workload: w})
+		dem, _, err := trainsim.PlanDemand(trainsim.Config{Machine: m, Workload: w})
 		if err != nil {
 			return sweepRow{}, err
 		}

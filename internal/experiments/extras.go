@@ -252,11 +252,11 @@ func Generalization() (*Table, error) {
 // worstCandidate finds the slowest feasible enumerated placement by the
 // cheap max-flow score and simulates only that one end to end.
 func worstCandidate(m *topology.Machine, w trainsim.Workload) (float64, error) {
-	first, err := placement.FirstCandidate(m)
+	wp, err := trainsim.PlanWorkload(trainsim.Config{Machine: m, Workload: w})
 	if err != nil {
 		return 0, err
 	}
-	dem, _, err := trainsim.PlanDemand(trainsim.Config{Machine: m, Placement: first, Workload: w})
+	dem, _, err := wp.Demand()
 	if err != nil {
 		return 0, err
 	}
@@ -275,7 +275,7 @@ func worstCandidate(m *topology.Machine, w trainsim.Workload) (float64, error) {
 	if worstPl == nil {
 		return 0, fmt.Errorf("experiments: no feasible candidate on %s", m.Name)
 	}
-	r, err := trainsim.SimulateEpoch(trainsim.Config{Machine: m, Placement: worstPl, Workload: w})
+	r, err := wp.SimulateEpoch(worstPl)
 	if err != nil {
 		return 0, err
 	}

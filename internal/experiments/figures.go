@@ -516,13 +516,7 @@ func AblationSymmetry() (*Table, error) {
 	}
 	for _, mk := range []func() *topology.Machine{topology.MachineA, topology.MachineB} {
 		m := mk()
-		cfg := trainsim.Config{Machine: m, Workload: wl("IG", gnn.KindSAGE)}
-		first, err := placement.FirstCandidate(m)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Placement = first
-		dem, _, err := trainsim.PlanDemand(cfg)
+		dem, _, err := trainsim.PlanDemand(trainsim.Config{Machine: m, Workload: wl("IG", gnn.KindSAGE)})
 		if err != nil {
 			return nil, err
 		}

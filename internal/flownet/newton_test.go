@@ -26,16 +26,25 @@ func TestSolveOnPlannerCandidates(t *testing.T) {
 	}
 	w := trainsim.Workload{Dataset: ds, Model: gnn.KindSAGE}
 	for _, m := range topology.MachineCatalog() {
-		cands, err := placement.Enumerate(m)
-		if err == nil {
-			cands, err = placement.Dedupe(m, cands)
-		}
+		all, err := placement.Enumerate(m)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
+		var cands []*topology.Placement
+		seen := map[string]bool{}
+		for _, p := range all {
+			key, err := placement.CanonicalKey(m, p)
+			if err != nil {
+				t.Fatalf("%s: %v", m.Name, err)
+			}
+			if !seen[key] {
+				seen[key] = true
+				cands = append(cands, p)
+			}
+		}
 		dem := &flownet.Demand{PerGPU: []float64{64e9}, DRAM: map[string]float64{"rc0": 32e9, "rc1": 32e9}}
 		if m.NumSSDs > 0 {
-			dem, _, err = trainsim.PlanDemand(trainsim.Config{Machine: m, Placement: cands[0], Workload: w})
+			dem, _, err = trainsim.PlanDemand(trainsim.Config{Machine: m, Workload: w})
 			if err != nil {
 				t.Fatalf("%s: %v", m.Name, err)
 			}

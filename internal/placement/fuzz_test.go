@@ -2,11 +2,16 @@ package placement
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
+	"moment/internal/flownet"
+	"moment/internal/scorecache"
 	"moment/internal/topology"
+	"moment/internal/units"
 )
 
 // decodePlacement turns fuzz bytes into a slot-feasible placement on m:
@@ -112,6 +117,134 @@ func FuzzDedupe(f *testing.F) {
 		for i := range again {
 			if again[i] != out[i] {
 				t.Fatal("dedupe reordered an already-deduped list")
+			}
+		}
+	})
+}
+
+// fuzzUplinks are the switch uplink rates decodeForest draws from: two
+// generations plus rates within 0.0004 GiB/s and within one ulp of the
+// first, which an approximate encoding would merge with it.
+var fuzzUplinks = []units.Bandwidth{
+	topology.PCIe4x16,
+	topology.PCIe4x16 + units.GiBps(0.0004),
+	units.Bandwidth(math.Nextafter(float64(topology.PCIe4x16), math.Inf(1))),
+	topology.PCIe4x4,
+}
+
+// decodeForest turns fuzz bytes into a valid machine: 1-3 root complexes,
+// up to three switches each hanging off an earlier point (so switches
+// nest), random bays and GPU slots, uplinks from fuzzUplinks, 1-2 GPUs and
+// 0-2 SSDs. Missing bytes read as zero, so every input decodes.
+func decodeForest(data []byte) *topology.Machine {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	m := topology.MachineA()
+	m.Name = "fuzz"
+	m.Points = nil
+	roots, switches := 1+next()%3, next()%4
+	slots, bays := 0, 0
+	for i := 0; i < roots+switches; i++ {
+		pt := topology.AttachPoint{
+			ID:       "rc" + strconv.Itoa(i),
+			Kind:     topology.RootComplex,
+			Bays:     next() % 3,
+			GPUSlots: next() % 3,
+		}
+		if i >= roots {
+			pt.ID = "sw" + strconv.Itoa(i-roots)
+			pt.Kind = topology.Switch
+			pt.Parent = m.Points[next()%i].ID
+			pt.UplinkBW = fuzzUplinks[next()%len(fuzzUplinks)]
+		}
+		slots += pt.GPUSlots
+		bays += pt.Bays
+		m.Points = append(m.Points, pt)
+	}
+	if slots == 0 {
+		m.Points[0].GPUSlots, slots = 1, 1
+	}
+	m.NumGPUs = 1 + next()%min(2, slots)
+	m.NumSSDs = next() % (min(2, bays) + 1)
+	return m
+}
+
+// forestDemand is a demand every candidate on m can route: each GPU draws
+// 1 GiB, served by the root complexes' DRAM and, when m has SSDs, half by
+// the SSD tier.
+func forestDemand(m *topology.Machine) *flownet.Demand {
+	d := &flownet.Demand{PerGPU: make([]float64, m.NumGPUs), DRAM: map[string]float64{}}
+	total := 0.0
+	for g := range d.PerGPU {
+		d.PerGPU[g] = gb
+		total += gb
+	}
+	if m.NumSSDs > 0 {
+		d.SSDTotal = total / 2
+		total /= 2
+	}
+	rcs := m.RootComplexes()
+	for _, rc := range rcs {
+		d.DRAM[rc] = total / float64(len(rcs))
+	}
+	return d
+}
+
+// FuzzSearchClasses holds Search's integer symmetry classes to the
+// text-keyed oracle on random attach-point forests: the candidates Search
+// scores, names and placements included, in enumeration order, must be
+// exactly Enumerate → Dedupe's, and a score cache must hold one
+// CanonicalKey per class. The committed seeds are mirrored sockets with
+// equal, 0.0004 GiB/s-apart and one-ulp-apart switch uplinks, sibling
+// switches under a switch, and three sockets of which two match.
+func FuzzSearchClasses(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := decodeForest(data)
+		if err := m.Validate(); err != nil {
+			t.Fatalf("decoded machine invalid: %v", err)
+		}
+		all, err := Enumerate(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept, err := Dedupe(m, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := scorecache.NewScores(1 << 12)
+		res, err := Search(m, forestDemand(m), Options{KeepScores: true, Cache: cache, Parallelism: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Enumerated != len(all) || res.Evaluated != len(kept) {
+			t.Fatalf("Search enumerated %d and evaluated %d, oracle %d and %d",
+				res.Enumerated, res.Evaluated, len(all), len(kept))
+		}
+		if cache.Len() != len(kept) {
+			t.Fatalf("cache holds %d keys for %d classes", cache.Len(), len(kept))
+		}
+		seq := func(p *topology.Placement) int {
+			i, err := strconv.Atoi(strings.TrimPrefix(p.Name, "cand"))
+			if err != nil {
+				t.Fatalf("candidate name %q", p.Name)
+			}
+			return i
+		}
+		got := make([]*topology.Placement, len(res.Scores))
+		for i, s := range res.Scores {
+			got[i] = s.Placement
+		}
+		sort.Slice(got, func(a, b int) bool { return seq(got[a]) < seq(got[b]) })
+		for i, p := range got {
+			w := kept[i]
+			if p.Name != w.Name || fmt.Sprint(p.GPUAt, p.SSDAt) != fmt.Sprint(w.GPUAt, w.SSDAt) {
+				t.Fatalf("kept[%d] = %v, oracle %v", i, p, w)
 			}
 		}
 	})

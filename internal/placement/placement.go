@@ -10,15 +10,20 @@
 // symmetry (mirrored subtrees, as in Machine A's two sockets) and
 // rotation-invariant re-orderings are removed by canonical tree encoding:
 // two candidates whose rooted-forest encodings coincide after sorting
-// equivalent subtrees are the same physical configuration.
+// equivalent subtrees are the same physical configuration. CanonicalKey
+// spells that encoding out as text; Search computes the same classes as
+// interned integer labels and keeps the first candidate of each.
 package placement
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -31,37 +36,36 @@ import (
 
 // Enumerate lists every slot-feasible placement of m's device inventory,
 // honoring physical slot constraints (x16 dual-width for GPUs, U.2 bays
-// for SSDs). The result is not symmetry-reduced; see Dedupe.
+// for SSDs), in enumeration order: candidate i is named "cand<i>". The
+// result is not symmetry-reduced; Search keeps the first candidate of each
+// CanonicalKey class.
 func Enumerate(m *topology.Machine) ([]*topology.Placement, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	gpuDists, ssdDists := dists(m)
-	var out []*topology.Placement
-	emit(m, gpuDists, ssdDists, func(c cand) bool {
-		out = append(out, c.p)
-		return true
-	})
+	out := make([]*topology.Placement, 0, len(gpuDists)*len(ssdDists))
+	for _, gd := range gpuDists {
+		for _, sd := range ssdDists {
+			out = append(out, placementOf(m, gd, sd, len(out)))
+		}
+	}
 	return out, nil
 }
 
-// FirstCandidate returns the first placement Enumerate lists ("cand0")
-// without building the rest. Demand formulation needs some valid placement
-// and does not depend on which, so planners take this one.
-func FirstCandidate(m *topology.Machine) (*topology.Placement, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
+// placementOf builds enumeration candidate seq from its per-attach-point
+// GPU and SSD counts.
+func placementOf(m *topology.Machine, gd, sd []int, seq int) *topology.Placement {
+	p := &topology.Placement{Name: "cand" + strconv.Itoa(seq)}
+	for i, pt := range m.Points {
+		for k := 0; k < gd[i]; k++ {
+			p.GPUAt = append(p.GPUAt, pt.ID)
+		}
+		for k := 0; k < sd[i]; k++ {
+			p.SSDAt = append(p.SSDAt, pt.ID)
+		}
 	}
-	gpuDists, ssdDists := dists(m)
-	var first *topology.Placement
-	emit(m, gpuDists, ssdDists, func(c cand) bool {
-		first = c.p
-		return false
-	})
-	if first == nil {
-		return nil, fmt.Errorf("placement: no feasible candidates for machine %s", m.Name)
-	}
-	return first, nil
+	return p
 }
 
 // dists returns every per-attach-point GPU count vector and every SSD count
@@ -108,7 +112,9 @@ func compositions(total int, caps []int) [][]int {
 // (kind, uplinkGiBps, bays, gpuSlots, placedGPUs, placedSSDs, children...)
 // with children sorted by their encodings; the forest of root complexes is
 // sorted likewise (root complexes peer symmetrically over QPI). Placements
-// that differ only by swapping equivalent subtrees share a key.
+// that differ only by swapping equivalent subtrees share a key. Uplinks
+// print exactly (%g's shortest round-trip form), so subtrees whose rates
+// differ in any bit never share a key.
 func CanonicalKey(m *topology.Machine, p *topology.Placement) (string, error) {
 	if err := p.Validate(m); err != nil {
 		return "", err
@@ -128,7 +134,7 @@ func CanonicalKey(m *topology.Machine, p *topology.Placement) (string, error) {
 			kids = append(kids, encode(c))
 		}
 		sort.Strings(kids)
-		return fmt.Sprintf("(%d,%.3f,%d,%d,g%d,s%d;%s)",
+		return fmt.Sprintf("(%d,%g,%d,%d,g%d,s%d;%s)",
 			int(pt.Kind), pt.UplinkBW.GiBpsf(), pt.Bays, pt.GPUSlots,
 			gpus[id], ssds[id], strings.Join(kids, ""))
 	}
@@ -140,24 +146,120 @@ func CanonicalKey(m *topology.Machine, p *topology.Placement) (string, error) {
 	return strings.Join(roots, "|"), nil
 }
 
-// Dedupe removes symmetry-equivalent placements, keeping the first
-// representative of each canonical class (the isomorphic graph reduction
-// of §3.2).
-func Dedupe(m *topology.Machine, ps []*topology.Placement) ([]*topology.Placement, error) {
-	seen := make(map[string]bool, len(ps))
-	var out []*topology.Placement
-	for _, p := range ps {
-		key, err := CanonicalKey(m, p)
-		if err != nil {
-			return nil, err
-		}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, p)
+// classes labels enumerated count-vector pairs with integer symmetry
+// classes (the isomorphic graph reduction of §3.2): two pairs share a class
+// exactly when CanonicalKey gives their placements the same key. It walks
+// the attach-point forest bottom-up. A point's label interns its (shape,
+// placed GPUs, placed SSDs) and then conses on its children's labels in
+// sorted order; the forest conses the sorted root labels the same way.
+// Every label comes from one counter, so two labels are equal exactly when
+// they were built from equal parts. Labels are canonical within one
+// classes value only.
+type classes struct {
+	order []int   // point indices, children before parents
+	kids  [][]int // switch children of each point
+	roots []int   // root complexes
+	shape []int   // per point: label of (kind, exact uplink, bays, GPU slots)
+
+	counts map[[3]int]int // (shape, GPUs, SSDs) → label
+	cons   map[[2]int]int // (label, child label) → label
+	class  map[int]int    // forest label → class, numbered by first appearance
+	next   int            // the next unused label
+
+	// Scratch reused across calls.
+	label []int
+	list  []int
+}
+
+// pointShape is the placement-independent part of an attach point's label.
+type pointShape struct {
+	kind           topology.Kind
+	uplink         uint64 // bits of the uplink in GiB/s, as CanonicalKey prints it
+	bays, gpuSlots int
+}
+
+// newClasses builds m's attach-point forest. m must be valid.
+func newClasses(m *topology.Machine) *classes {
+	n := len(m.Points)
+	c := &classes{
+		kids:   make([][]int, n),
+		shape:  make([]int, n),
+		counts: map[[3]int]int{},
+		cons:   map[[2]int]int{},
+		class:  map[int]int{},
+		label:  make([]int, n),
 	}
-	return out, nil
+	index := make(map[string]int, n)
+	shapes := map[pointShape]int{}
+	for i, pt := range m.Points {
+		index[pt.ID] = i
+		s := pointShape{pt.Kind, math.Float64bits(pt.UplinkBW.GiBpsf()), pt.Bays, pt.GPUSlots}
+		if _, ok := shapes[s]; !ok {
+			shapes[s] = len(shapes)
+		}
+		c.shape[i] = shapes[s]
+	}
+	for i, pt := range m.Points {
+		switch pt.Kind {
+		case topology.RootComplex:
+			c.roots = append(c.roots, i)
+		case topology.Switch:
+			p := index[pt.Parent]
+			c.kids[p] = append(c.kids[p], i)
+		}
+	}
+	var post func(i int)
+	post = func(i int) {
+		for _, k := range c.kids[i] {
+			post(k)
+		}
+		c.order = append(c.order, i)
+	}
+	for _, r := range c.roots {
+		post(r)
+	}
+	return c
+}
+
+// of returns the symmetry class of the placement with gd[i] GPUs and sd[i]
+// SSDs at point i, and whether this call is the first to see the class.
+// Classes number 0, 1, ... in order of first appearance.
+func (c *classes) of(gd, sd []int) (class int, fresh bool) {
+	for _, i := range c.order {
+		c.label[i] = c.fold(intern(c.counts, [3]int{c.shape[i], gd[i], sd[i]}, &c.next), c.kids[i])
+	}
+	// No label is negative, so the forest's chain cannot meet a point's.
+	forest := c.fold(-1, c.roots)
+	if class, ok := c.class[forest]; ok {
+		return class, false
+	}
+	class = len(c.class)
+	c.class[forest] = class
+	return class, true
+}
+
+// fold conses the labels of points, sorted, onto label l.
+func (c *classes) fold(l int, points []int) int {
+	c.list = c.list[:0]
+	for _, p := range points {
+		c.list = append(c.list, c.label[p])
+	}
+	slices.Sort(c.list)
+	for _, k := range c.list {
+		l = intern(c.cons, [2]int{l, k}, &c.next)
+	}
+	return l
+}
+
+// intern returns k's label in ids, taking the next label if k is new.
+func intern[K comparable](ids map[K]int, k K, next *int) int {
+	if id, ok := ids[k]; ok {
+		return id
+	}
+	id := *next
+	*next++
+	ids[k] = id
+	return id
 }
 
 // Options tunes the placement search.
@@ -222,8 +324,8 @@ type Result struct {
 }
 
 // cand is one enumerated placement handed to a scoring worker. seq is its
-// enumeration index (also its "cand%d" name); key is filled by the dedupe
-// stage when canonicalization ran.
+// enumeration index (also its "cand%d" name); key is its CanonicalKey when
+// the search has a score cache.
 type cand struct {
 	seq int
 	p   *topology.Placement
@@ -327,14 +429,17 @@ func (c *collector) merge(o *collector) {
 // time-bisection score, computed exactly by maxflow's Newton steps), and
 // returns the fastest.
 //
-// The caller's goroutine enumerates and dedupes (canonical-key isomorphic
-// reduction), handing survivors in enumeration order to min(Parallelism,
-// enumeration size) scoring workers. Each worker rebuilds candidate
-// networks into its own scratch network and folds its scores into its own
-// collector; the collectors merge once the workers drain, so the result is
-// the same at any Parallelism. Candidates whose networks are infeasible
-// (disconnected demand) are skipped; with Options.Cache, previously seen
-// candidates skip the max-flow solve entirely.
+// The caller's goroutine walks the GPU × SSD count-vector product in
+// enumeration order and labels each pair with its integer symmetry class
+// (see classes); it builds a placement only for the first pair of each
+// class — exactly the candidate Enumerate → CanonicalKey dedupe keeps — and
+// hands it to min(Parallelism, enumeration size) scoring workers. Each
+// worker rebuilds candidate networks into its own scratch network and folds
+// its scores into its own collector; the collectors merge once the workers
+// drain, so the result is the same at any Parallelism. Candidates whose
+// networks are infeasible (disconnected demand) are skipped; with
+// Options.Cache, previously seen candidates skip the max-flow solve
+// entirely, and only one candidate per class is canonicalized into a key.
 func Search(m *topology.Machine, d *flownet.Demand, opt Options) (*Result, error) {
 	if opt.Parallelism <= 0 {
 		opt.Parallelism = runtime.GOMAXPROCS(0)
@@ -456,31 +561,7 @@ func Search(m *topology.Machine, d *flownet.Demand, opt Options) (*Result, error
 	return res, nil
 }
 
-// emit streams the candidate cross product in enumeration order, calling
-// yield for each; a false return stops the walk. Candidate seq is named
-// "cand<seq>".
-func emit(m *topology.Machine, gpuDists, ssdDists [][]int, yield func(c cand) bool) {
-	seq := 0
-	for _, gd := range gpuDists {
-		for _, sd := range ssdDists {
-			p := &topology.Placement{Name: fmt.Sprintf("cand%d", seq)}
-			for i, pt := range m.Points {
-				for k := 0; k < gd[i]; k++ {
-					p.GPUAt = append(p.GPUAt, pt.ID)
-				}
-				for k := 0; k < sd[i]; k++ {
-					p.SSDAt = append(p.SSDAt, pt.ID)
-				}
-			}
-			if !yield(cand{seq: seq, p: p}) {
-				return
-			}
-			seq++
-		}
-	}
-}
-
-// dispatch runs the enumerate and dedupe stages on the caller's goroutine
+// dispatch runs the enumerate and prune stages on the caller's goroutine
 // and sends each surviving candidate to the scoring workers. It stops at
 // the first canonicalization error or caller cancellation and returns it.
 func (st *searchState) dispatch(gpuDists, ssdDists [][]int, candc chan<- cand) error {
@@ -488,34 +569,50 @@ func (st *searchState) dispatch(gpuDists, ssdDists [][]int, candc chan<- cand) e
 	// both cover it; their attributes carry the per-stage counts.
 	esp := st.sp.Fork("enumerate")
 	psp := st.sp.Fork("prune")
-	needKey := !st.opt.SkipDedupe || st.opt.Cache != nil
-	seen := make(map[string]struct{})
+	cached := st.opt.Cache != nil
+	var cls *classes
+	if !st.opt.SkipDedupe || cached {
+		cls = newClasses(st.m)
+	}
+	var keys []string // CanonicalKey of each class, when cached
 	var err error
 	kept := 0
-	emit(st.m, gpuDists, ssdDists, func(c cand) bool {
-		st.enumerated++
-		if st.opt.Ctx != nil {
-			if err = st.opt.Ctx.Err(); err != nil {
-				return false
-			}
-		}
-		if needKey {
-			if c.key, err = CanonicalKey(st.m, c.p); err != nil {
-				return false
-			}
-			if !st.opt.SkipDedupe {
-				if _, dup := seen[c.key]; dup {
-					st.pruned++
-					st.ex.Add(obs.ExplainStep{Seq: c.seq, Stage: "prune", Subject: c.p.Name, Reason: "isomorphic-duplicate"})
-					return true
+walk:
+	for _, gd := range gpuDists {
+		for _, sd := range ssdDists {
+			seq := st.enumerated
+			st.enumerated++
+			if st.opt.Ctx != nil {
+				if err = st.opt.Ctx.Err(); err != nil {
+					break walk
 				}
-				seen[c.key] = struct{}{}
 			}
+			class, fresh := 0, true
+			if cls != nil {
+				class, fresh = cls.of(gd, sd)
+			}
+			if !fresh && !st.opt.SkipDedupe {
+				st.pruned++
+				if st.ex != nil {
+					st.ex.Add(obs.ExplainStep{Seq: seq, Stage: "prune", Subject: "cand" + strconv.Itoa(seq), Reason: "isomorphic-duplicate"})
+				}
+				continue
+			}
+			c := cand{seq: seq, p: placementOf(st.m, gd, sd, seq)}
+			if cached {
+				if fresh {
+					var key string
+					if key, err = CanonicalKey(st.m, c.p); err != nil {
+						break walk
+					}
+					keys = append(keys, key)
+				}
+				c.key = keys[class]
+			}
+			kept++
+			candc <- c
 		}
-		kept++
-		candc <- c
-		return true
-	})
+	}
 	esp.SetInt("candidates", st.enumerated)
 	esp.End()
 	psp.SetInt("kept", kept)

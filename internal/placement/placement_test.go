@@ -3,14 +3,15 @@ package placement
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"moment/internal/flownet"
+	"moment/internal/scorecache"
 	"moment/internal/topology"
+	"moment/internal/units"
 )
 
 const gb = 1 << 30
@@ -71,10 +72,9 @@ func TestEnumerateRespectsSlotCaps(t *testing.T) {
 	}
 }
 
-// TestEnumerateNamesAndFirstCandidate pins Enumerate's naming (cand<i> in
-// enumeration order) and that FirstCandidate returns its first entry
-// without building the rest.
-func TestEnumerateNamesAndFirstCandidate(t *testing.T) {
+// TestEnumerateNames pins Enumerate's naming: cand<i> in enumeration
+// order.
+func TestEnumerateNames(t *testing.T) {
 	for _, m := range []*topology.Machine{topology.MachineA(), topology.MachineB(),
 		topology.Supermicro420GP(), topology.H3Falcon4016()} {
 		all, err := Enumerate(m)
@@ -86,29 +86,11 @@ func TestEnumerateNamesAndFirstCandidate(t *testing.T) {
 				t.Fatalf("%s: candidate %d named %q, want %q", m.Name, i, p.Name, want)
 			}
 		}
-		first, err := FirstCandidate(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(first, all[0]) {
-			t.Errorf("%s: FirstCandidate %v, Enumerate[0] %v", m.Name, first, all[0])
-		}
-	}
-	m := topology.Supermicro420GP()
-	full := testing.AllocsPerRun(3, func() { _, _ = Enumerate(m) })
-	one := testing.AllocsPerRun(3, func() { _, _ = FirstCandidate(m) })
-	if one*10 > full {
-		t.Errorf("FirstCandidate allocates %.0f times, Enumerate %.0f: it builds more than one candidate", one, full)
 	}
 	bad := topology.MachineA()
 	bad.Points = nil
-	if _, err := FirstCandidate(bad); err == nil {
+	if _, err := Enumerate(bad); err == nil {
 		t.Error("invalid machine accepted")
-	}
-	full4 := topology.MachineA()
-	full4.NumGPUs = 99
-	if _, err := FirstCandidate(full4); err == nil {
-		t.Error("machine with more GPUs than slots yielded a candidate")
 	}
 }
 
@@ -143,6 +125,76 @@ func TestDedupeMachineAMirrorSymmetry(t *testing.T) {
 	// candidates are redundant (diagonal ones are self-symmetric).
 	if len(ded) > len(all)*2/3 {
 		t.Errorf("dedupe too weak: %d -> %d", len(all), len(ded))
+	}
+}
+
+// TestSearchExactUplinkClasses raises SM420GP's sw1 uplink by 0.0004
+// GiB/s. sw0 and sw1 then carry different flow networks, so placements
+// that swap their contents are no longer isomorphic: 3,087 classes, where
+// a key that printed uplinks to three decimals would keep 847 and never
+// score the rest.
+func TestSearchExactUplinkClasses(t *testing.T) {
+	for _, tc := range []struct {
+		raise float64
+		want  int
+	}{{0, 847}, {0.0004, 3087}} {
+		m := topology.Supermicro420GP()
+		for i := range m.Points {
+			if m.Points[i].ID == "sw1" {
+				m.Points[i].UplinkBW += units.GiBps(tc.raise)
+			}
+		}
+		all, err := Enumerate(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept, err := Dedupe(m, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Search(m, demand(4), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(all) != 5719 || res.Enumerated != len(all) {
+			t.Errorf("raise %v: enumerated %d (Search %d), want 5719", tc.raise, len(all), res.Enumerated)
+		}
+		if len(kept) != tc.want || res.Evaluated != tc.want {
+			t.Errorf("raise %v: Dedupe keeps %d, Search evaluates %d, want %d classes",
+				tc.raise, len(kept), res.Evaluated, tc.want)
+		}
+	}
+}
+
+// TestSkipDedupeCacheSharesClassKeys runs the ablation through a score
+// cache: every enumerated candidate is scored, members of one class share
+// their representative's key, so the cache holds one entry per class and
+// a warm rerun hits on every candidate.
+func TestSkipDedupeCacheSharesClassKeys(t *testing.T) {
+	m := topology.MachineA()
+	all, err := Enumerate(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := Dedupe(m, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := scorecache.NewScores(1024)
+	opt := Options{SkipDedupe: true, Cache: cache}
+	if _, err := Search(m, demand(4), opt); err != nil {
+		t.Fatal(err)
+	}
+	if cache.Len() != len(kept) {
+		t.Errorf("cache holds %d keys, want one per class (%d)", cache.Len(), len(kept))
+	}
+	warm, err := Search(m, demand(4), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Evaluated != len(all) || warm.CacheHits != len(all) {
+		t.Errorf("warm skip-dedupe search evaluated %d with %d hits, want %d of each",
+			warm.Evaluated, warm.CacheHits, len(all))
 	}
 }
 

@@ -36,8 +36,8 @@ func degradedB() *topology.Machine {
 }
 
 // fasterUplinkB is machine B with sw0's uplink 0.0004 GiB/s faster: a
-// different flow network under the same CanonicalKey, which prints
-// uplinks to three decimals.
+// different flow network whose CanonicalKey text would match machine B's
+// if uplinks printed to three decimals.
 func fasterUplinkB() *topology.Machine {
 	m := topology.MachineB()
 	for i := range m.Points {
@@ -46,6 +46,26 @@ func fasterUplinkB() *topology.Machine {
 		}
 	}
 	return m
+}
+
+// Dedupe removes symmetry-equivalent placements, keeping the first
+// representative of each CanonicalKey class: the text-keyed isomorphic
+// reduction Search's integer classes must reproduce.
+func Dedupe(m *topology.Machine, ps []*topology.Placement) ([]*topology.Placement, error) {
+	seen := make(map[string]bool, len(ps))
+	var out []*topology.Placement
+	for _, p := range ps {
+		key, err := CanonicalKey(m, p)
+		if err != nil {
+			return nil, err
+		}
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		out = append(out, p)
+	}
+	return out, nil
 }
 
 // oracleResult is what the serial oracle knows about a search: the
@@ -264,10 +284,10 @@ func TestSearchCacheShortCircuits(t *testing.T) {
 }
 
 // TestSearchCacheKeySeparation shares one cache across a healthy machine,
-// a QPI-degraded one and one whose switch uplink differs below
-// CanonicalKey's print precision (same attach-point structure, different
-// fabric rates), and across two demands: nothing may cross-hit, and every
-// kept score must equal its cache-free baseline exactly.
+// a QPI-degraded one and one whose switch uplink differs by 0.0004 GiB/s
+// (same attach-point structure, different fabric rates), and across two
+// demands: nothing may cross-hit, and every kept score must equal its
+// cache-free baseline exactly.
 func TestSearchCacheKeySeparation(t *testing.T) {
 	cache := scorecache.NewScores(4096)
 	type run struct {
@@ -278,7 +298,7 @@ func TestSearchCacheKeySeparation(t *testing.T) {
 		{topology.MachineB(), demand(4)},
 		{degradedB(), demand(4)},                  // same keys structurally, different QPI rate
 		{topology.MachineB(), scaledDemand(4, 2)}, // same machine, different demand
-		{fasterUplinkB(), demand(4)},              // same CanonicalKey text, different uplink
+		{fasterUplinkB(), demand(4)},              // uplinks equal to three decimals
 	}
 	for i, r := range runs {
 		cached, err := Search(r.m, r.d, Options{Cache: cache, KeepScores: true})

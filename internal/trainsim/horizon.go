@@ -145,7 +145,11 @@ func simulateEpochs(cfg Config, opt SweepOptions, memo bool) (*SweepResult, erro
 	defer sp.End()
 
 	// One planning pass serves every epoch.
-	es, oom, err := placeAndSpecs(cfg, o, sp)
+	wp, err := planWorkload(cfg, o.In(sp))
+	if err != nil {
+		return nil, err
+	}
+	es, oom, err := wp.placeAndSpecs(cfg.Placement, o, sp)
 	if err != nil {
 		return nil, err
 	}

@@ -141,7 +141,8 @@ type Result struct {
 }
 
 // plan carries everything derived before data placement: workload stats,
-// cache organization, tier masses, and the flow-network demand.
+// cache organization, tier masses, and the flow-network demand. None of it
+// depends on where the devices sit.
 type plan struct {
 	cfg     Config
 	stats   *Stats
@@ -150,7 +151,6 @@ type plan struct {
 
 	hitGPU           float64
 	gpuDistinctBytes float64
-	localHit         []float64
 	nvlHit           []float64
 	gpuMass, cpuMass float64
 	ssdMass          float64
@@ -164,28 +164,63 @@ type plan struct {
 	demand *flownet.Demand
 }
 
-// PlanDemand exposes the flow-network demand SimulateEpoch plans with, so
-// that placement search can score candidates against the exact workload
-// the runtime will execute.
-func PlanDemand(cfg Config) (*flownet.Demand, *Stats, error) {
+// WorkloadPlan is the placement-independent half of an epoch simulation:
+// the normalized config, the workload stats (ComputeStats), the cache
+// organization and tier budgets, and the flow-network demand. A planner
+// derives it once, scores placement candidates against its demand, and
+// simulates the winner from the same plan.
+type WorkloadPlan struct {
+	pl  *plan
+	oom *Result // non-nil when the configuration cannot run
+}
+
+// PlanWorkload derives cfg's workload plan; cfg.Placement is not read. A
+// configuration that cannot run (host memory, SSD capacity) still plans:
+// Demand reports it as an error and SimulateEpoch as an OOM result.
+func PlanWorkload(cfg Config) (*WorkloadPlan, error) {
+	return planWorkload(cfg, obs.Active(cfg.Observer))
+}
+
+// planWorkload builds the plan inside a "plan" span opened on o.
+func planWorkload(cfg Config, o *obs.Observer) (*WorkloadPlan, error) {
+	sp := o.Begin("plan")
 	pl, oom, err := buildPlan(cfg)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	return &WorkloadPlan{pl: pl, oom: oom}, nil
+}
+
+// Demand returns the flow-network demand SimulateEpoch plans with, so that
+// placement search can score candidates against the exact workload the
+// runtime will execute, and the workload stats behind it.
+func (wp *WorkloadPlan) Demand() (*flownet.Demand, *Stats, error) {
+	if wp.oom != nil {
+		return nil, nil, fmt.Errorf("trainsim: %s", wp.oom.OOM)
+	}
+	return wp.pl.demand, wp.pl.stats, nil
+}
+
+// PlanDemand is PlanWorkload followed by Demand.
+func PlanDemand(cfg Config) (*flownet.Demand, *Stats, error) {
+	wp, err := PlanWorkload(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	if oom != nil {
-		return nil, nil, fmt.Errorf("trainsim: %s", oom.OOM)
-	}
-	return pl.demand, pl.stats, nil
+	return wp.Demand()
 }
 
 // buildPlan normalizes the config, checks memory feasibility, derives the
 // workload stats and cache organization, and constructs the flow demand.
-// A non-nil second return is an OOM pseudo-result.
+// A non-nil second return is an OOM pseudo-result. The plan's config
+// carries no placement: the simulation stage supplies one.
 func buildPlan(cfg Config) (*plan, *Result, error) {
 	m := cfg.Machine
-	if m == nil || cfg.Placement == nil {
-		return nil, nil, fmt.Errorf("trainsim: nil machine or placement")
+	if m == nil {
+		return nil, nil, fmt.Errorf("trainsim: nil machine")
 	}
+	cfg.Placement = nil
 	w := cfg.Workload.Defaults()
 	w.NumGPUs = m.NumGPUs
 	if cfg.CPUCacheVertexFrac == 0 {
@@ -360,7 +395,6 @@ func buildPlan(cfg Config) (*plan, *Result, error) {
 		partner:          partner,
 		hitGPU:           hitGPU,
 		gpuDistinctBytes: gpuDistinctBytes,
-		localHit:         localHit,
 		nvlHit:           nvlHit,
 		gpuMass:          gpuMass,
 		cpuMass:          cpuMass,
@@ -408,24 +442,23 @@ func (es *epochSetup) epochOf(io, comp float64) float64 {
 	return stageMax + fill
 }
 
-// placeAndSpecs runs the epoch pipeline up to (but not including) the
-// fabric simulation: workload stats → provisional tier budgets → max-flow
+// placeAndSpecs runs the epoch pipeline from the workload plan up to (but
+// not including) the fabric simulation under placement p: max-flow
 // prediction → fabric-fair traffic plan → DDAK/hash data placement →
 // logical flow list → compute/sampling stage times. A non-nil second
 // return is an OOM pseudo-result.
-func placeAndSpecs(cfg Config, o *obs.Observer, epochSp *obs.Span) (*epochSetup, *Result, error) {
-	scoped := o.In(epochSp)
-	planSp := epochSp.Child("plan")
-	pl, oom, err := buildPlan(cfg)
-	planSp.End()
-	if err != nil {
-		return nil, nil, err
+func (wp *WorkloadPlan) placeAndSpecs(p *topology.Placement, o *obs.Observer, epochSp *obs.Span) (*epochSetup, *Result, error) {
+	if p == nil {
+		return nil, nil, fmt.Errorf("trainsim: nil placement")
 	}
-	if oom != nil {
+	if wp.oom != nil {
 		o.Counter("trainsim_oom_total").Inc()
-		return nil, oom, nil
+		return nil, wp.oom, nil
 	}
-	cfg = pl.cfg
+	scoped := o.In(epochSp)
+	pl := wp.pl
+	cfg := pl.cfg
+	cfg.Placement = p
 	m := cfg.Machine
 	w := cfg.Workload
 	d := w.Dataset
@@ -433,7 +466,6 @@ func placeAndSpecs(cfg Config, o *obs.Observer, epochSp *obs.Span) (*epochSetup,
 	rcs := m.RootComplexes()
 	stats := pl.stats
 	hitGPU := pl.hitGPU
-	localHit := pl.localHit
 	items := pl.items
 	gpuMass, cpuMass, ssdMass := pl.gpuMass, pl.cpuMass, pl.ssdMass
 	fetchEpoch := pl.fetchEpoch
@@ -531,9 +563,6 @@ func placeAndSpecs(cfg Config, o *obs.Observer, epochSp *obs.Span) (*epochSetup,
 	}
 	if cfg.Cache == CachePartitioned {
 		hitGPU = assign.HitRateItems(ddak.TierGPU)
-		for g := 0; g < nGPU; g++ {
-			localHit[g] = hitGPU / float64(nGPU)
-		}
 	}
 	hitCPU := assign.HitRateItems(ddak.TierCPU) * sumHot(placeItems)
 
@@ -575,28 +604,53 @@ func placeAndSpecs(cfg Config, o *obs.Observer, epochSp *obs.Span) (*epochSetup,
 
 // SimulateEpoch runs the full pipeline: workload stats → provisional tier
 // budgets → max-flow prediction → fabric-fair traffic plan → DDAK/hash
-// data placement → fabric simulation → pipelined epoch assembly.
+// data placement → fabric simulation → pipelined epoch assembly. It is
+// PlanWorkload followed by the plan's SimulateEpoch under cfg.Placement,
+// with the "plan" span nested in the epoch's.
 func SimulateEpoch(cfg Config) (*Result, error) {
 	o := obs.Active(cfg.Observer)
-	epochSp := o.Begin("trainsim.epoch")
-	if cfg.Machine != nil {
-		epochSp.SetStr("machine", cfg.Machine.Name)
-	}
-	if cfg.Placement != nil {
-		epochSp.SetStr("placement", cfg.Placement.Name)
-	}
-	epochSp.SetStr("policy", cfg.Policy.String())
+	epochSp := beginEpoch(o, cfg, cfg.Placement)
 	defer epochSp.End()
-	scoped := o.In(epochSp)
+	wp, err := planWorkload(cfg, o.In(epochSp))
+	if err != nil {
+		return nil, err
+	}
+	return wp.simulate(cfg.Placement, o, epochSp)
+}
 
-	es, oom, err := placeAndSpecs(cfg, o, epochSp)
+// SimulateEpoch simulates one epoch of the plan under placement p: the
+// placement-dependent stages of the package-level SimulateEpoch.
+func (wp *WorkloadPlan) SimulateEpoch(p *topology.Placement) (*Result, error) {
+	o := obs.Active(wp.pl.cfg.Observer)
+	epochSp := beginEpoch(o, wp.pl.cfg, p)
+	defer epochSp.End()
+	return wp.simulate(p, o, epochSp)
+}
+
+// beginEpoch opens the span of an epoch of cfg under placement p.
+func beginEpoch(o *obs.Observer, cfg Config, p *topology.Placement) *obs.Span {
+	sp := o.Begin("trainsim.epoch")
+	if cfg.Machine != nil {
+		sp.SetStr("machine", cfg.Machine.Name)
+	}
+	if p != nil {
+		sp.SetStr("placement", p.Name)
+	}
+	sp.SetStr("policy", cfg.Policy.String())
+	return sp
+}
+
+// simulate runs the placement-dependent stages inside epochSp.
+func (wp *WorkloadPlan) simulate(p *topology.Placement, o *obs.Observer, epochSp *obs.Span) (*Result, error) {
+	scoped := o.In(epochSp)
+	es, oom, err := wp.placeAndSpecs(p, o, epochSp)
 	if err != nil {
 		return nil, err
 	}
 	if oom != nil {
 		return oom, nil
 	}
-	cfg = es.cfg
+	cfg := es.cfg
 	m := cfg.Machine
 	w := cfg.Workload
 	d := w.Dataset

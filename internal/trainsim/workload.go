@@ -103,7 +103,9 @@ func ComputeStats(w Workload, nVirtual int) (*Stats, error) {
 
 	// Draw counts per hop: hop 0 draws batch×f0 neighbors; subsequent
 	// hops expand the (distinct) frontier by their fanout. Frontier
-	// distinctness uses the same saturation form.
+	// distinctness uses the same saturation form, over a coarse grid built
+	// once for every hop.
+	coarse := newRankGrid(n, distinctBuckets, s, harmonic)
 	batch := float64(w.BatchSize)
 	draws := 0.0
 	frontier := batch
@@ -112,24 +114,31 @@ func ComputeStats(w Workload, nVirtual int) (*Stats, error) {
 		hopDraws := frontier * float64(f)
 		totalEdges += hopDraws
 		draws += hopDraws * w.DedupFactor
-		frontier = distinctCount(n, s, harmonic, hopDraws*w.DedupFactor)
+		frontier = coarse.distinct(hopDraws * w.DedupFactor)
 	}
 
 	// Per-rank fetch probability per batch: head ranks exactly, tail in
-	// geometric buckets.
+	// geometric buckets. Both grids start with the same head ranks, so the
+	// coarse grid's probabilities serve the head here. hot holds the
+	// per-batch fetch mass until it is normalized in place.
 	ranks, counts := rankBuckets(n, nVirtual)
-	perBatch := make([]float64, len(ranks))
+	nHead := min(int64(hotDetail), n)
+	hot := make([]float64, len(ranks))
 	uniq := 0.0
 	for i, r := range ranks {
-		p := math.Pow(r, -s) / harmonic
-		q := saturate(p, draws)
-		perBatch[i] = q * counts[i]
-		uniq += perBatch[i]
+		var q float64
+		if int64(i) < nHead {
+			q = saturateLog(coarse.p[i], coarse.log1mp[i], draws)
+		} else {
+			q = saturate(math.Pow(r, -s)/harmonic, draws)
+		}
+		hot[i] = q * counts[i]
+		uniq += hot[i]
 	}
 	// Seeds are drawn uniformly from the 1% training set and always
 	// fetched; spread their mass uniformly over ranks.
-	for i := range perBatch {
-		perBatch[i] += batch * counts[i] / float64(n)
+	for i := range hot {
+		hot[i] += batch * counts[i] / float64(n)
 	}
 	uniq += batch
 
@@ -138,8 +147,8 @@ func ComputeStats(w Workload, nVirtual int) (*Stats, error) {
 		UniquePerBatch:  uniq,
 		EdgesPerBatch:   totalEdges,
 		FetchBytesBatch: uniq * rowBytes,
-		VirtualHot:      make([]float64, len(ranks)),
-		VirtualBytes:    make([]float64, len(ranks)),
+		VirtualHot:      hot,
+		VirtualBytes:    counts,
 	}
 	train := float64(d.TrainVertices())
 	stats.BatchesPerEpoch = int(math.Ceil(train / batch))
@@ -151,12 +160,12 @@ func ComputeStats(w Workload, nVirtual int) (*Stats, error) {
 	}
 	stats.FetchBytesEpoch = stats.FetchBytesBatch * float64(stats.BatchesPerEpoch)
 	mass := 0.0
-	for _, q := range perBatch {
+	for _, q := range hot {
 		mass += q
 	}
-	for i := range ranks {
-		stats.VirtualHot[i] = perBatch[i] / mass
-		stats.VirtualBytes[i] = counts[i] * rowBytes
+	for i := range hot {
+		hot[i] /= mass
+		counts[i] *= rowBytes
 	}
 	return stats, nil
 }
@@ -164,10 +173,13 @@ func ComputeStats(w Workload, nVirtual int) (*Stats, error) {
 // rankBuckets returns representative ranks and vertex counts: ranks
 // 1..hotDetail individually, then nVirtual geometric buckets to n.
 func rankBuckets(n int64, nVirtual int) (ranks, counts []float64) {
-	head := int64(hotDetail)
-	if head > n {
-		head = n
+	head := min(int64(hotDetail), n)
+	size := int(head)
+	if head < n {
+		size += nVirtual
 	}
+	ranks = make([]float64, 0, size)
+	counts = make([]float64, 0, size)
 	for r := int64(1); r <= head; r++ {
 		ranks = append(ranks, float64(r))
 		counts = append(counts, 1)
@@ -196,27 +208,54 @@ func rankBuckets(n int64, nVirtual int) (ranks, counts []float64) {
 	return ranks, counts
 }
 
+// distinctBuckets is the tail resolution of the grid distinctCount sums
+// over.
+const distinctBuckets = 2000
+
+// rankGrid is a rank-bucket grid with each representative rank's access
+// probability p and log1p(-p), so that 1-(1-p)^D can be evaluated at many
+// draw counts D without recomputing either.
+type rankGrid struct {
+	counts, p, log1mp []float64
+}
+
+// newRankGrid builds rankBuckets(n, nVirtual) under Zipf(s) with
+// normalizer harmonic.
+func newRankGrid(n int64, nVirtual int, s, harmonic float64) *rankGrid {
+	ranks, counts := rankBuckets(n, nVirtual)
+	g := &rankGrid{counts: counts, p: ranks, log1mp: make([]float64, len(ranks))}
+	for i, r := range ranks {
+		p := math.Pow(r, -s) / harmonic
+		g.p[i] = p
+		g.log1mp[i] = math.Log1p(-p)
+	}
+	return g
+}
+
+// distinct estimates the expected number of distinct vertices among
+// `draws` Zipf draws over the grid's ranks.
+func (g *rankGrid) distinct(draws float64) float64 {
+	total := 0.0
+	for i, c := range g.counts {
+		total += c * saturateLog(g.p[i], g.log1mp[i], draws)
+	}
+	return total
+}
+
 // saturate computes 1-(1-p)^D stably.
 func saturate(p, draws float64) float64 {
+	return saturateLog(p, math.Log1p(-p), draws)
+}
+
+// saturateLog is saturate with log1p(-p) supplied by the caller.
+func saturateLog(p, log1mp, draws float64) float64 {
 	if p <= 0 || draws <= 0 {
 		return 0
 	}
 	if p >= 1 {
 		return 1
 	}
-	return -math.Expm1(draws * math.Log1p(-p))
-}
-
-// distinctCount estimates the expected number of distinct vertices among
-// `draws` Zipf(s) draws over n ranks.
-func distinctCount(n int64, s, harmonic, draws float64) float64 {
-	ranks, counts := rankBuckets(n, 2000)
-	total := 0.0
-	for i, r := range ranks {
-		p := math.Pow(r, -s) / harmonic
-		total += counts[i] * saturate(p, draws)
-	}
-	return total
+	return -math.Expm1(draws * log1mp)
 }
 
 // generalizedHarmonic approximates H(n, s) = Σ_{r=1..n} r^-s with exact
