@@ -143,6 +143,41 @@ func BenchmarkDDAKPlace100k(b *testing.B) {
 	}
 }
 
+// BenchmarkDDAKDelta times the incremental re-solve the drift loop runs on
+// each detector trip: machine B's layout-C epoch over IG's 2,000 rank
+// buckets with partitioned GPU caches, one seeded shuffle of magnitude 0.2,
+// and the drift loop's default move budget of half the bytes.
+func BenchmarkDDAKDelta(b *testing.B) {
+	m := MachineB()
+	p, err := ClassicPlacement(m, LayoutC)
+	if err != nil {
+		b.Fatal(err)
+	}
+	epoch, err := Simulate(SimConfig{Machine: m, Placement: p,
+		Workload: Workload{Dataset: MustDataset("IG"), Model: GraphSAGE},
+		Cache:    CachePartitioned, VirtualVertices: 2000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, a := epoch.Stats, epoch.BinAssign
+	prev := make([]ddak.Item, len(st.VirtualHot))
+	for k := range prev {
+		prev[k] = ddak.Item{Hot: st.VirtualHot[k], Bytes: st.VirtualBytes[k]}
+	}
+	next := append([]ddak.Item(nil), prev...)
+	r := rand.New(rand.NewSource(1))
+	for k := 0; k < int(0.2*float64(len(next))+0.5); k++ {
+		x, y := r.Intn(len(next)), r.Intn(len(next))
+		next[x].Hot, next[y].Hot = next[y].Hot, next[x].Hot
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ddak.PlaceItemsDelta(prev, a, next, a.Bins, 100, st.FetchBytesEpoch, ddak.DeltaOptions{MaxMoveFrac: 0.5}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSampling2Hop(b *testing.B) {
 	g, err := graph.GenZipf(100_000, 12, 0.9, 3)
 	if err != nil {

@@ -10,7 +10,6 @@ package ddak
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"moment/internal/obs"
 )
@@ -55,12 +54,11 @@ type Bin struct {
 // the verification subsystem.
 var CheckItems func(a *ItemAssignment, items []Item) error
 
-func tierLess(a, b Tier) bool { return a < b }
-
 // prioEq compares filling priorities with a relative epsilon. Priorities are
 // products of accumulated float ratios, so two bins that are equal in exact
-// arithmetic almost never compare == once any access or fill has built up —
-// exact comparison left the documented GPU > CPU > SSD tie-break dead.
+// arithmetic almost never compare == once any access or fill has built up;
+// the epsilon keeps such a near-tie with the earlier bin instead of handing
+// it to whichever bin's float happens to round lower.
 func prioEq(a, b float64) bool {
 	if a == b { // covers 0==0 and Inf==Inf
 		return true
@@ -68,23 +66,18 @@ func prioEq(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// pickBin selects the eligible bin with minimum filling priority, breaking
-// near-ties (relative 1e-9) by tier (GPU > CPU > SSD) and then by bin order.
+// pickBin selects the eligible bin with minimum filling priority. A
+// near-tie (relative 1e-9) keeps the earlier bin. Callers restrict the
+// eligible bins to one tier and walk the tiers GPU > CPU > SSD themselves.
 // Returns -1 when no bin is eligible.
-func pickBin(n int, eligible func(int) bool, priority func(int) float64, tier func(int) Tier) int {
+func pickBin(n int, eligible func(int) bool, priority func(int) float64) int {
 	best := -1
 	bestP := math.Inf(1)
 	for i := 0; i < n; i++ {
 		if !eligible(i) {
 			continue
 		}
-		p := priority(i)
-		switch {
-		case best == -1, p < bestP && !prioEq(p, bestP):
-			best, bestP = i, p
-		case prioEq(p, bestP) && tierLess(tier(i), tier(best)):
-			// Near-tie: prefer the faster tier. Bin order needs no case —
-			// ascending iteration already keeps the earliest index.
+		if p := priority(i); best == -1 || p < bestP && !prioEq(p, bestP) {
 			best, bestP = i, p
 		}
 	}
@@ -153,19 +146,15 @@ func PlaceItemsObserved(items []Item, bins []Bin, poolN int, trafficScale float6
 	if err := checkItems(items, bins); err != nil {
 		return nil, err
 	}
+	return placeOrdered(items, densityOrder(items), bins, poolN, trafficScale, o)
+}
+
+// placeOrdered is PlaceItemsObserved on checked items whose density order
+// the caller already holds.
+func placeOrdered(items []Item, order []int32, bins []Bin, poolN int, trafficScale float64, o *obs.Observer) (*ItemAssignment, error) {
 	if poolN <= 0 {
 		poolN = 100
 	}
-	order := make([]int32, len(items))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		// Hot-first by access density (mass per byte): plain hotness
-		// order when item sizes are uniform.
-		a, b := items[order[i]], items[order[j]]
-		return a.Hot*b.Bytes > b.Hot*a.Bytes
-	})
 	a := &ItemAssignment{
 		Bins:   append([]Bin(nil), bins...),
 		Of:     make([]int32, len(items)),
@@ -200,8 +189,7 @@ func PlaceItemsObserved(items []Item, bins []Bin, poolN int, trafficScale float6
 					return a.Bins[i].Tier == tier && free[i] >= need &&
 						!(honorCaps && capped(i))
 				},
-				priority,
-				func(i int) Tier { return a.Bins[i].Tier })
+				priority)
 			if best >= 0 {
 				return best
 			}

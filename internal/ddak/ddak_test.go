@@ -378,43 +378,40 @@ func TestHashPlaceItemsIgnoresHotness(t *testing.T) {
 	}
 }
 
-// Regression: pick() used to compare computed float priorities with ==, so
-// the documented GPU > CPU > SSD tie-break almost never fired once any
-// access/fill had accumulated. 0.1+0.2 and 0.3 are equal in exact
-// arithmetic but differ in float64; the near-tie must go to the GPU bin
-// even though the CPU bin's float happens to be the strictly smaller one.
-func TestPickBinNearTiePrefersFasterTier(t *testing.T) {
+// Regression: pick() used to compare computed float priorities with ==.
+// 0.1+0.2 and 0.3 are equal in exact arithmetic but differ in float64, so a
+// later bin whose float happens to round lower must not displace an
+// earlier bin it ties with; a real gap still wins, and ineligible bins are
+// never picked however low their priority. Callers restrict eligibility to
+// one tier, so every bin here is one tier's.
+func TestPickBinNearTieKeepsEarlierBin(t *testing.T) {
 	// Computed at runtime — Go folds constant expressions exactly, which
 	// would erase the float discrepancy this test depends on.
 	x, y, half := 0.1, 0.2, 0.5
-	prios := []float64{0.3 * half, (x + y) * half} // 0.15 vs 0.15000000000000002
+	prios := []float64{(x + y) * half, 0.3 * half} // 0.15000000000000002 vs 0.15
 	if prios[0] == prios[1] {
 		t.Fatal("test premise broken: priorities compare exactly equal")
 	}
-	tiers := []Tier{TierCPU, TierGPU}
-	got := pickBin(2,
-		func(int) bool { return true },
-		func(i int) float64 { return prios[i] },
-		func(i int) Tier { return tiers[i] })
-	if got != 1 {
-		t.Errorf("near-tie picked bin %d (tier %v), want GPU bin 1", got, tiers[got])
+	all := func(int) bool { return true }
+	if got := pickBin(2, all, func(i int) float64 { return prios[i] }); got != 0 {
+		t.Errorf("near-tie picked bin %d, want the earlier bin 0", got)
 	}
-	// A genuine gap must still win over tier preference.
-	gap := []float64{0.10, 0.15}
-	got = pickBin(2,
-		func(int) bool { return true },
-		func(i int) float64 { return gap[i] },
-		func(i int) Tier { return tiers[i] })
-	if got != 0 {
-		t.Errorf("clear minimum lost to tier tie-break: picked %d", got)
+	// A genuine gap must still win over bin order.
+	gap := []float64{0.15, 0.10}
+	if got := pickBin(2, all, func(i int) float64 { return gap[i] }); got != 1 {
+		t.Errorf("clear minimum lost to bin order: picked %d, want 1", got)
 	}
-	// Equal priority and equal tier: earliest index wins.
-	got = pickBin(2,
-		func(int) bool { return true },
-		func(int) float64 { return 0.5 },
-		func(int) Tier { return TierSSD })
-	if got != 0 {
+	// Equal priority: earliest index wins.
+	if got := pickBin(3, all, func(int) float64 { return 0.5 }); got != 0 {
 		t.Errorf("index tie-break picked %d, want 0", got)
+	}
+	// Ineligible bins are skipped, even the one with the lowest priority.
+	skip := []float64{0.0, 0.5, 0.4}
+	if got := pickBin(3, func(i int) bool { return i != 0 }, func(i int) float64 { return skip[i] }); got != 2 {
+		t.Errorf("eligibility ignored: picked %d, want 2", got)
+	}
+	if got := pickBin(3, func(int) bool { return false }, func(i int) float64 { return skip[i] }); got != -1 {
+		t.Errorf("no eligible bin picked %d, want -1", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package ddak
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"moment/internal/obs"
@@ -33,19 +34,82 @@ type DeltaResult struct {
 }
 
 // densityOrder returns item indices sorted hot-first by access density
-// (mass per byte), the same ordering PlaceItems uses. Stable, so items
-// with equal density keep index order — identical inputs produce
-// identical orders.
+// (mass per byte, cross-multiplied so no division). Stable, so items with
+// equal density keep index order — identical inputs produce identical
+// orders. It is the only density sort: PlaceItems and both sides of
+// PlaceItemsDelta use it, and a delta that falls back hands its order to
+// the full solve.
 func densityOrder(items []Item) []int32 {
 	order := make([]int32, len(items))
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		a, b := items[order[i]], items[order[j]]
-		return a.Hot*b.Bytes > b.Hot*a.Bytes
+	slices.SortStableFunc(order, func(x, y int32) int {
+		a, b := items[x], items[y]
+		switch {
+		case a.Hot*b.Bytes > b.Hot*a.Bytes:
+			return -1
+		case b.Hot*a.Bytes > a.Hot*b.Bytes:
+			return 1
+		}
+		return 0
 	})
 	return order
+}
+
+// densityClasses numbers the density classes along order, a densityOrder
+// of items: the class goes up by one wherever an item is strictly less
+// dense than its predecessor. When the cross-multiplied comparison is a
+// strict weak order, class[x] < class[y] exactly when x is strictly denser
+// than y. Where rounding makes it intransitive (rational ties such as
+// 0.05/1, 0.1/2 and 0.15/3), the classes follow the sorted order.
+func densityClasses(items []Item, order []int32) []int32 {
+	class := make([]int32, len(items))
+	for r := 1; r < len(order); r++ {
+		x, y := order[r-1], order[r]
+		class[y] = class[x]
+		if items[x].Hot*items[y].Bytes > items[y].Hot*items[x].Bytes {
+			class[y]++
+		}
+	}
+	return class
+}
+
+// evictionOrder lists the items of[v] seats in each bin so that the back
+// of a list is the next to evict: classes hottest first and, within a
+// class, later items of order first. The back is then the coldest class's
+// earliest item, the one a stable coldest-first sort of the bin puts
+// first.
+func evictionOrder(of, order, class []int32, nBins int) [][]int32 {
+	count := make([]int, nBins)
+	for _, b := range of {
+		if b >= 0 {
+			count[b]++
+		}
+	}
+	backing := make([]int32, len(of))
+	lists := make([][]int32, nBins)
+	off := 0
+	for b, c := range count {
+		lists[b] = backing[off : off : off+c]
+		off += c
+	}
+	for _, v := range order {
+		if b := of[v]; b >= 0 {
+			lists[b] = append(lists[b], v)
+		}
+	}
+	for _, l := range lists {
+		for lo := 0; lo < len(l); {
+			hi := lo + 1
+			for hi < len(l) && class[l[hi]] == class[l[lo]] {
+				hi++
+			}
+			slices.Reverse(l[lo:hi])
+			lo = hi
+		}
+	}
+	return lists
 }
 
 // PlaceItemsDelta incrementally re-solves a DDAK layout after the item
@@ -106,6 +170,7 @@ func PlaceItemsDelta(prevItems []Item, prev *ItemAssignment, items []Item, bins 
 
 	oldOrder := densityOrder(prevItems)
 	newOrder := densityOrder(items)
+	class := densityClasses(items, newOrder)
 
 	a := &ItemAssignment{
 		Bins:   append([]Bin(nil), bins...),
@@ -120,19 +185,19 @@ func PlaceItemsDelta(prevItems []Item, prev *ItemAssignment, items []Item, bins 
 	for i := range a.Of {
 		a.Of[i] = -1
 	}
-	residents := make([][]int32, len(bins))
 	place := func(v int32, bin int) {
 		it := items[v]
 		a.Of[v] = int32(bin)
 		a.Used[bin] += it.Bytes
 		a.Access[bin] += it.Hot
 		free[bin] -= it.Bytes
-		residents[bin] = append(residents[bin], v)
 	}
-	// denser reports whether item x has strictly higher access density
-	// than item y (cross-multiplied, no division).
-	denser := func(x, y int32) bool {
-		return items[x].Hot*items[y].Bytes > items[y].Hot*items[x].Bytes
+	unplace := func(v int32) {
+		bin := a.Of[v]
+		a.Of[v] = -1
+		a.Used[bin] -= items[v].Bytes
+		a.Access[bin] -= items[v].Hot
+		free[bin] += items[v].Bytes
 	}
 
 	// Tentative pass: new rank r inherits old rank r's bin. Deferred
@@ -154,8 +219,13 @@ func PlaceItemsDelta(prevItems []Item, prev *ItemAssignment, items []Item, bins 
 	// the next tier — without this, a hot item whose byte size outgrew
 	// its rank's bin would strand on SSD behind the colder items the
 	// tentative pass already seated, and the layout quality would not
-	// track a full re-solve. Evictees rejoin the queue; density strictly
-	// decreases along any eviction chain, so the repair terminates.
+	// track a full re-solve. Evictees rejoin the queue in class order,
+	// so the queue stays hot-first and every item is processed no denser
+	// than the one before it. An eviction needs a strictly denser
+	// evictor, so an item the repair seats is never evicted: only the
+	// tentative pass's items can be, each at most once, and the queue
+	// never holds more than len(items) entries.
+	residents := evictionOrder(a.Of, newOrder, class, len(bins))
 	priority := func(i int) float64 {
 		b := a.Bins[i]
 		fill := 0.0
@@ -173,80 +243,56 @@ func PlaceItemsDelta(prevItems []Item, prev *ItemAssignment, items []Item, bins 
 		}
 		return a.Access[i]*trafficScale >= a.Bins[i].Traffic
 	}
-	// evictable returns the bytes bin i could free for item v by evicting
-	// strictly colder residents.
-	evictable := func(i int, v int32) float64 {
+	// canEvict reports whether bin i can hold v once residents strictly
+	// colder than v make way. It walks back from the coldest resident and
+	// stops as soon as the freed bytes suffice or the next resident is not
+	// strictly colder, so a check costs the evictions it would make, not
+	// the bin's size.
+	canEvict := func(i int, v int32, need float64) bool {
+		if free[i] >= need {
+			return true
+		}
+		res := residents[i]
 		sum := 0.0
-		for _, w := range residents[i] {
-			if denser(v, w) {
-				sum += items[w].Bytes
+		for k := len(res) - 1; k >= 0 && class[res[k]] > class[v]; k-- {
+			sum += items[res[k]].Bytes
+			if free[i]+sum >= need {
+				return true
 			}
 		}
-		return sum
+		return false
 	}
-	evict := func(bin int, v int32, need float64) []int32 {
-		// Coldest first, so the evicted set is minimal in mass.
-		sort.SliceStable(residents[bin], func(i, j int) bool {
-			return denser(residents[bin][j], residents[bin][i])
-		})
-		var out []int32
-		kept := residents[bin][:0]
-		for _, w := range residents[bin] {
-			if free[bin] < need && denser(v, w) {
-				a.Of[w] = -1
-				a.Used[bin] -= items[w].Bytes
-				a.Access[bin] -= items[w].Hot
-				free[bin] += items[w].Bytes
-				out = append(out, w)
-				continue
-			}
-			kept = append(kept, w)
-		}
-		residents[bin] = kept
-		return out
-	}
-	fallBack := false
 	for qi := 0; qi < len(deferred); qi++ {
-		if len(deferred) > 8*len(items) {
-			// Eviction churn: the repair is thrashing, a full re-solve
-			// is cheaper and strictly better. (Chains shorten by density
-			// each step so this is a belt-and-braces bound, not an
-			// expected path.)
-			fallBack = true
-			break
-		}
 		v := deferred[qi]
 		need := items[v].Bytes
 		bin := -1
 		for _, tier := range []Tier{TierGPU, TierCPU, TierSSD} {
 			inTier := func(i int) bool { return a.Bins[i].Tier == tier }
-			tierOf := func(i int) Tier { return a.Bins[i].Tier }
 			// Free space first, honoring traffic caps.
 			bin = pickBin(len(a.Bins),
 				func(i int) bool { return inTier(i) && free[i] >= need && !capped(i) },
-				priority, tierOf)
+				priority)
 			if bin >= 0 {
 				break
 			}
-			// Then eviction of strictly colder residents.
+			// Then eviction of strictly colder residents, coldest first.
 			bin = pickBin(len(a.Bins),
-				func(i int) bool { return inTier(i) && free[i]+evictable(i, v) >= need },
-				priority, tierOf)
+				func(i int) bool { return inTier(i) && canEvict(i, v, need) },
+				priority)
 			if bin >= 0 {
-				for _, w := range evict(bin, v, need) {
-					// Re-queue the evictee in density position so the
-					// remaining repair stays hot-first.
-					at := len(deferred)
-					for k := qi + 1; k < len(deferred); k++ {
-						if denser(w, deferred[k]) {
-							at = k
-							break
-						}
-					}
-					deferred = append(deferred, 0)
-					copy(deferred[at+1:], deferred[at:])
-					deferred[at] = w
+				res := residents[bin]
+				for free[bin] < need && len(res) > 0 && class[res[len(res)-1]] > class[v] {
+					w := res[len(res)-1]
+					res = res[:len(res)-1]
+					unplace(w)
+					// Re-queue the evictee after every queued item at
+					// least as dense, so the remaining repair stays
+					// hot-first. The queue past qi is sorted by class.
+					rest := deferred[qi+1:]
+					at := qi + 1 + sort.Search(len(rest), func(k int) bool { return class[rest[k]] > class[w] })
+					deferred = slices.Insert(deferred, at, w)
 				}
+				residents[bin] = res
 				break
 			}
 		}
@@ -256,8 +302,7 @@ func PlaceItemsDelta(prevItems []Item, prev *ItemAssignment, items []Item, bins 
 			for _, tier := range []Tier{TierGPU, TierCPU, TierSSD} {
 				bin = pickBin(len(a.Bins),
 					func(i int) bool { return a.Bins[i].Tier == tier && free[i] >= need },
-					priority,
-					func(i int) Tier { return a.Bins[i].Tier })
+					priority)
 				if bin >= 0 {
 					break
 				}
@@ -289,25 +334,10 @@ func PlaceItemsDelta(prevItems []Item, prev *ItemAssignment, items []Item, bins 
 			break
 		}
 	}
-	preMoved, _ := diffMoves(prev, a, items)
-	if !fallBack && (preMoved > 0 || !sameBins) {
-		unplace := func(v int32) {
-			bin := a.Of[v]
-			a.Of[v] = -1
-			a.Used[bin] -= items[v].Bytes
-			a.Access[bin] -= items[v].Hot
-			free[bin] += items[v].Bytes
-			for k, w := range residents[bin] {
-				if w == v {
-					residents[bin] = append(residents[bin][:k], residents[bin][k+1:]...)
-					break
-				}
-			}
-		}
+	if preMoved, _ := diffMoves(prev, a, items); preMoved > 0 || !sameBins {
 		for _, target := range []Tier{TierGPU, TierCPU} {
 			for _, v := range newOrder {
-				cur := a.Of[v]
-				if cur < 0 || a.Bins[cur].Tier <= target {
+				if a.Bins[a.Of[v]].Tier <= target {
 					continue
 				}
 				need := items[v].Bytes
@@ -315,8 +345,7 @@ func PlaceItemsDelta(prevItems []Item, prev *ItemAssignment, items []Item, bins 
 					func(i int) bool {
 						return a.Bins[i].Tier == target && free[i] >= need && !capped(i)
 					},
-					priority,
-					func(i int) Tier { return a.Bins[i].Tier })
+					priority)
 				if bin < 0 {
 					continue
 				}
@@ -327,15 +356,12 @@ func PlaceItemsDelta(prevItems []Item, prev *ItemAssignment, items []Item, bins 
 		}
 	}
 
-	moved, movedBytes := 0, 0.0
-	if !fallBack {
-		moved, movedBytes = diffMoves(prev, a, items)
-	}
-	if fallBack || movedBytes > maxFrac*totalBytes {
+	moved, movedBytes := diffMoves(prev, a, items)
+	if movedBytes > maxFrac*totalBytes {
 		// The structural delta would move too much — a full re-solve is
 		// at least as good a layout for the same (or larger) bill, and
 		// the caller budgeted for it.
-		full, err := PlaceItemsObserved(items, bins, poolN, trafficScale, o)
+		full, err := placeOrdered(items, newOrder, bins, poolN, trafficScale, o)
 		if err != nil {
 			return nil, err
 		}

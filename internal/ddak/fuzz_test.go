@@ -17,7 +17,9 @@ import (
 //     result is bit-identical to the full PlaceItems solve);
 //  3. stays within a bounded fast-tier hit-rate gap of the full
 //     re-solve — the delta trades layout optimality for migration
-//     bytes, but never collapses.
+//     bytes, but never collapses;
+//  4. equals the oracle (placeItemsDeltaOracle, and its full solve for
+//     PlaceItems) bit for bit.
 func FuzzPlaceItemsDelta(f *testing.F) {
 	f.Add(int64(1), uint16(200), uint8(0), uint8(10), uint8(10), uint8(0))
 	f.Add(int64(2), uint16(500), uint8(1), uint8(50), uint8(1), uint8(1))
@@ -161,6 +163,13 @@ func FuzzPlaceItemsDelta(f *testing.F) {
 		// No drift at all must be a zero-move no-op.
 		if driftKind%4 == 0 && res.MovedItems != 0 {
 			t.Fatalf("no-drift delta moved %d items", res.MovedItems)
+		}
+
+		// (4) the oracle.
+		inst := deltaInstance{prevItems: items, items: drifted, prevBins: bins, bins: bins,
+			pool: pool, scale: trafficScale}
+		if _, d := matchOracle(inst, prev); d != "" {
+			t.Fatalf("differs from the oracle: %s", d)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -56,6 +57,17 @@ func (c ClusterSpec) Validate() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("topology: cluster with %d nodes", c.Nodes)
 	}
+	for _, r := range []struct {
+		name string
+		bw   units.Bandwidth
+	}{{"NIC", c.NICBW}, {"leaf uplink", c.LeafUplinkBW}} {
+		// Zero is allowed (a zero uplink is non-blocking). Anything else
+		// must be a finite rate of at least 1 B/s: its GiB/s form is then
+		// exact, so FormatClusterSpec writes it back unchanged.
+		if v := float64(r.bw); v != 0 && !(v >= 1 && v <= math.MaxFloat64) {
+			return fmt.Errorf("topology: cluster %s rate %v B/s is neither zero nor a finite rate of at least 1 B/s", r.name, v)
+		}
+	}
 	if c.NICBW <= 0 && c.Nodes > 1 {
 		return fmt.Errorf("topology: multi-node cluster needs NIC bandwidth")
 	}
@@ -100,22 +112,25 @@ func (c ClusterSpec) Oversubscription() float64 {
 
 // FormatClusterSpec serializes the cluster line of the textual spec format:
 //
-//	cluster nodes=4 nics=1 nic=11.642GiB/s leaves=2 uplink=23.283GiB/s nicat=rc1
+//	cluster nodes=4 nics=1 nic=12.5GiB/s leaves=2 uplink=25GiB/s nicat=rc1
 //
-// Append it to a machine spec (FormatSpec) to describe a full deployment;
-// ParseClusterFile reads the combined document.
+// Rates are written like FormatSpec's, as the shortest decimal that parses
+// back to the same value, so ParseClusterLine restores c.Defaults()
+// exactly. Append the line to a machine spec (FormatSpec) to describe a
+// full deployment; ParseClusterFile reads the combined document.
 func FormatClusterSpec(c ClusterSpec) string {
 	d := c.Defaults()
-	var b strings.Builder
-	fmt.Fprintf(&b, "cluster nodes=%d nics=%d nic=%.3fGiB/s leaves=%d", d.Nodes, d.NICsPerNode, d.NICBW.GiBpsf(), d.Leaves)
+	b := strconv.AppendInt([]byte("cluster nodes="), int64(d.Nodes), 10)
+	b = strconv.AppendInt(append(b, " nics="...), int64(d.NICsPerNode), 10)
+	b = appendGiB(append(b, " nic="...), float64(d.NICBW), "GiB/s leaves=")
+	b = strconv.AppendInt(b, int64(d.Leaves), 10)
 	if !d.NonBlocking() {
-		fmt.Fprintf(&b, " uplink=%.3fGiB/s", d.LeafUplinkBW.GiBpsf())
+		b = appendGiB(append(b, " uplink="...), float64(d.LeafUplinkBW), "GiB/s")
 	}
 	if d.NICAt != "" {
-		fmt.Fprintf(&b, " nicat=%s", d.NICAt)
+		b = append(append(b, " nicat="...), d.NICAt...)
 	}
-	b.WriteString("\n")
-	return b.String()
+	return string(append(b, '\n'))
 }
 
 // ParseClusterLine parses one "cluster ..." directive.

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -12,20 +13,20 @@ func TestClusterSpecRoundTrip(t *testing.T) {
 		{Nodes: 4, NICBW: units.Gbps(100)},
 		{Nodes: 8, NICsPerNode: 2, NICBW: units.Gbps(100), Leaves: 2, LeafUplinkBW: units.Gbps(400)},
 		{Nodes: 3, NICBW: units.Gbps(25), NICAt: "rc1"},
+		// %.3f used to write this as 12.346GiB/s.
+		{Nodes: 6, NICBW: units.GiBps(12.3456), Leaves: 3, LeafUplinkBW: units.GiBps(23.28306436538696)},
+		{Nodes: 1},
 	} {
 		line := FormatClusterSpec(cs)
-		got, err := ParseClusterLine(strings.Fields(strings.TrimSpace(line)))
+		got, err := ParseClusterLine(strings.Fields(line))
 		if err != nil {
 			t.Fatalf("ParseClusterLine(%q): %v", line, err)
 		}
-		want := cs.Defaults()
-		got = got.Defaults()
-		if got.Nodes != want.Nodes || got.NICsPerNode != want.NICsPerNode ||
-			got.Leaves != want.Leaves || got.NICAt != want.NICAt {
+		if want := cs.Defaults(); got != want {
 			t.Errorf("round trip %q: got %+v want %+v", line, got, want)
 		}
-		if diff := float64(got.NICBW - want.NICBW); diff > 1e6 || diff < -1e6 {
-			t.Errorf("NICBW drifted: got %v want %v", got.NICBW, want.NICBW)
+		if again := FormatClusterSpec(got); again != line {
+			t.Errorf("FormatClusterSpec is not a fixpoint: %q then %q", line, again)
 		}
 	}
 }
@@ -35,6 +36,14 @@ func TestClusterSpecValidate(t *testing.T) {
 		{Nodes: 0},
 		{Nodes: 4}, // multi-node without NIC bandwidth
 		{Nodes: 2, NICBW: units.Gbps(100), Leaves: 3},
+		{Nodes: 2, NICBW: units.Bandwidth(math.NaN())},
+		{Nodes: 2, NICBW: units.Bandwidth(math.Inf(1))},
+		{Nodes: 1, NICBW: units.Bandwidth(math.Inf(-1))},
+		{Nodes: 1, NICBW: -1},
+		{Nodes: 1, NICBW: units.Gbps(1e-320)}, // no GiB/s text parses back to it
+		{Nodes: 2, NICBW: units.Gbps(100), LeafUplinkBW: units.Bandwidth(math.NaN())},
+		{Nodes: 2, NICBW: units.Gbps(100), LeafUplinkBW: units.Bandwidth(math.Inf(1))},
+		{Nodes: 2, NICBW: units.Gbps(100), LeafUplinkBW: -units.Gbps(100)},
 	}
 	for _, cs := range bad {
 		if err := cs.Validate(); err == nil {
@@ -43,6 +52,9 @@ func TestClusterSpecValidate(t *testing.T) {
 	}
 	if err := (ClusterSpec{Nodes: 1}).Validate(); err != nil {
 		t.Errorf("single node without NIC rejected: %v", err)
+	}
+	if err := (ClusterSpec{Nodes: 2, NICBW: units.Gbps(100), LeafUplinkBW: 0}).Validate(); err != nil {
+		t.Errorf("zero (non-blocking) uplink rejected: %v", err)
 	}
 }
 
@@ -91,4 +103,36 @@ func TestParseClusterFile(t *testing.T) {
 	if _, _, err := ParseClusterFile(strings.NewReader(dup)); err == nil {
 		t.Error("duplicate cluster line accepted")
 	}
+}
+
+// FuzzParseClusterFile: ParseClusterFile never panics, and the cluster line
+// of whatever it accepts formats to text that ParseClusterLine reads back
+// as the same spec, defaults filled, and that formats to the same text
+// again.
+func FuzzParseClusterFile(f *testing.F) {
+	machine := FormatSpec(MachineB())
+	for _, cs := range []ClusterSpec{
+		{Nodes: 4, NICBW: units.Gbps(100)},
+		{Nodes: 8, NICsPerNode: 2, NICBW: units.Gbps(100), Leaves: 2, LeafUplinkBW: units.Gbps(400)},
+		{Nodes: 3, NICBW: units.Gbps(25), NICAt: "rc1"},
+	} {
+		f.Add(machine + FormatClusterSpec(cs))
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		_, cs, err := ParseClusterFile(strings.NewReader(doc))
+		if err != nil || cs == nil {
+			return
+		}
+		line := FormatClusterSpec(*cs)
+		back, err := ParseClusterLine(strings.Fields(line))
+		if err != nil {
+			t.Fatalf("FormatClusterSpec wrote a line ParseClusterLine rejects: %v\n%s", err, line)
+		}
+		if want := cs.Defaults(); back != want {
+			t.Fatalf("parse∘format changed the cluster:\n got %+v\nwant %+v\n%s", back, want, line)
+		}
+		if again := FormatClusterSpec(back); again != line {
+			t.Fatalf("FormatClusterSpec is not a fixpoint:\n%s\nthen\n%s", line, again)
+		}
+	})
 }
