@@ -2,6 +2,8 @@ package faults
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -183,16 +185,27 @@ func TestValidateRejectsBadEvents(t *testing.T) {
 }
 
 func TestCheckTargets(t *testing.T) {
+	links := []string{"ssd0", "gpu0:in", "up:sw0"}
 	in := mustInjector(t, &Schedule{Events: []Event{Kill(5, 1)}})
-	if err := in.CheckTargets(4, 4); err == nil {
+	if err := in.CheckTargets(4, 4, links); err == nil {
 		t.Error("ssd5 on a 4-SSD machine should fail")
 	}
-	if err := in.CheckTargets(8, 4); err != nil {
+	if err := in.CheckTargets(8, 4, links); err != nil {
 		t.Errorf("ssd5 on an 8-SSD machine: %v", err)
 	}
 	in = mustInjector(t, &Schedule{Events: []Event{Straggle(4, 1, 0.5, 0)}})
-	if err := in.CheckTargets(8, 4); err == nil {
+	if err := in.CheckTargets(8, 4, links); err == nil {
 		t.Error("gpu4 on a 4-GPU machine should fail")
+	}
+	in = mustInjector(t, &Schedule{Events: []Event{Downtrain("gpu0:in", 1, 0.5, 0), Downtrain("up:sw0", 2, 0.5, 1)}})
+	if err := in.CheckTargets(8, 4, links); err != nil {
+		t.Errorf("downtrains on fabric links: %v", err)
+	}
+	for _, bad := range []string{"gpu0in", "up:sw9"} {
+		in = mustInjector(t, &Schedule{Events: []Event{Downtrain("gpu0:in", 1, 0.5, 0), Downtrain(bad, 1, 0.1, 0)}})
+		if err := in.CheckTargets(8, 4, links); err == nil || !strings.Contains(err.Error(), strconv.Quote(bad)) {
+			t.Errorf("downtrain on missing link %q: error %v, want one naming it", bad, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -35,4 +36,50 @@ func FuzzParseFaults(f *testing.F) {
 			t.Fatalf("Format is not a fixpoint: %q then %q", text, got)
 		}
 	})
+}
+
+// FuzzInjector holds the step-table Injector to the linear-scan oracle bit
+// for bit. Every four input bytes make one event: all five kinds, targets
+// 0–3, start times on a coarse grid (so starts repeat and events overlap),
+// permanent and timed events, kills, and downtrains on SSD egress links as
+// well as GPU slots.
+func FuzzInjector(f *testing.F) {
+	f.Add([]byte{0, 1, 8, 0})
+	f.Add([]byte{1, 0, 4, 0x35, 1, 0, 4, 0x72, 4, 0, 6, 0x21, 0, 0, 5, 0})
+	f.Add([]byte{2, 2, 0, 0x44, 2, 2, 3, 0x45, 3, 1, 3, 0x10, 3, 1, 3, 0x9f, 4, 3, 9, 0xf0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkInjectorAgainstScan(t, decodeSchedule(data))
+	})
+}
+
+// decodeSchedule turns fuzz bytes into a valid schedule, four bytes an
+// event, at most 48 events (the oracle is quadratic in them).
+func decodeSchedule(data []byte) *Schedule {
+	s := &Schedule{Seed: int64(len(data))}
+	for ; len(data) >= 4 && len(s.Events) < 48; data = data[4:] {
+		kind, target, at, v := Kind(data[0]%5), int(data[1]%4), data[2], data[3]
+		start := float64(at%32) * 0.25
+		if at >= 128 {
+			start = float64(at) * 0.1 // not exactly representable
+		}
+		factor := (float64(v&0x0f) + 1) / 17
+		dur := float64(v>>4) * 0.5 // 0: permanent
+		switch kind {
+		case FailStop:
+			s.Events = append(s.Events, Kill(target, start))
+		case Throttle:
+			s.Events = append(s.Events, ThrottleSSD(target, start, factor, dur))
+		case LinkDowntrain:
+			link := fmt.Sprintf("gpu%d:in", target)
+			if at&1 == 1 {
+				link = fmt.Sprintf("ssd%d", target)
+			}
+			s.Events = append(s.Events, Downtrain(link, start, factor, dur))
+		case Straggler:
+			s.Events = append(s.Events, Straggle(target, start, factor, dur))
+		case ErrorBurst:
+			s.Events = append(s.Events, Burst(target, start, factor, dur))
+		}
+	}
+	return s
 }

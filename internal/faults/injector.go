@@ -3,6 +3,8 @@ package faults
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -10,7 +12,14 @@ import (
 // Injector answers the simulators' time-indexed fault queries for one
 // schedule. All factors are piecewise constant between event boundaries;
 // NextChange exposes the boundaries so event-driven simulators can segment
-// time exactly. An Injector is immutable and safe for concurrent readers.
+// time exactly, and Segment names the stretch between two boundaries. An
+// Injector is immutable and safe for concurrent readers.
+//
+// NewInjector compiles the schedule into one step table per target, so
+// every query is a binary search. Each table entry multiplies the events
+// active over its stretch in schedule order, the order a scan of the whole
+// schedule would multiply them in, so a factor is the same float whichever
+// way it is computed.
 //
 // WithBase shifts the injector's clock: queries at local time t read the
 // schedule at absolute time base+t, which lets a simulation that restarts
@@ -18,13 +27,106 @@ import (
 // keep consuming one absolute schedule.
 type Injector struct {
 	seed   int64
-	events []Event // sorted by At
-	bounds []float64
+	events []Event   // sorted by At
+	bounds []float64 // every event start and finite end, sorted, distinct
 	base   float64
+
+	ssds  map[int]*ssdSteps
+	gpus  map[int]*steps    // straggle factors
+	links map[string]*steps // downtrain factors
 }
 
-// NewInjector validates and indexes a schedule. A nil schedule yields an
-// injector that reports a perfect machine.
+// ssdSteps holds one SSD's fault state.
+type ssdSteps struct {
+	service steps   // product of active throttles
+	errProb steps   // composed error-burst probability
+	kill    float64 // first fail-stop time, +Inf if none
+}
+
+// steps is a piecewise-constant value: val[i] holds from at[i] until
+// at[i+1], and the identity holds before at[0].
+type steps struct {
+	at, val []float64
+}
+
+// value returns the step value at absolute time t, or none before the
+// first step.
+func (s *steps) value(t, none float64) float64 {
+	if s == nil {
+		return none
+	}
+	if i := countLE(s.at, t); i > 0 {
+		return s.val[i-1]
+	}
+	return none
+}
+
+// countLE returns the number of elements of the sorted slice a that are
+// <= x.
+func countLE(a []float64, x float64) int {
+	lo, hi := 0, len(a)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if a[mid] <= x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// buildSteps sweeps one target's events (in schedule order) across their
+// own boundaries. At each boundary the value is the product of term(e)
+// over the events active there, multiplied in schedule order starting
+// from 1.
+func buildSteps(evs []Event, term func(Event) float64) steps {
+	var s steps
+	for _, e := range evs {
+		s.at = append(s.at, e.At)
+		if end := e.end(); !math.IsInf(end, 1) {
+			s.at = append(s.at, end)
+		}
+	}
+	s.at = sortedDistinct(s.at)
+	s.val = make([]float64, len(s.at))
+	// active holds the started events' ends and terms in schedule order:
+	// starts at b come after every event already active, so appending
+	// keeps the order.
+	type span struct{ end, term float64 }
+	var active []span
+	next := 0
+	for i, b := range s.at {
+		for ; next < len(evs) && evs[next].At <= b; next++ {
+			active = append(active, span{evs[next].end(), term(evs[next])})
+		}
+		kept, f := active[:0], 1.0
+		for _, a := range active {
+			if b < a.end {
+				kept = append(kept, a)
+				f *= a.term
+			}
+		}
+		active = kept
+		s.val[i] = f
+	}
+	return s
+}
+
+// sortedDistinct sorts v in place and drops repeated values.
+func sortedDistinct(v []float64) []float64 {
+	sort.Float64s(v)
+	out := v[:0]
+	for i, x := range v {
+		if i == 0 || x != out[len(out)-1] {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// NewInjector validates a schedule and compiles its step tables. A nil
+// schedule yields an injector that reports a perfect machine.
 func NewInjector(s *Schedule) (*Injector, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -34,27 +136,63 @@ func NewInjector(s *Schedule) (*Injector, error) {
 		in.seed = s.Seed
 		in.events = s.sorted()
 	}
-	seen := map[float64]bool{}
-	for _, e := range in.events {
-		if !seen[e.At] {
-			seen[e.At] = true
-			in.bounds = append(in.bounds, e.At)
+	var (
+		throttles, bursts = map[int][]Event{}, map[int][]Event{}
+		stragglers        = map[int][]Event{}
+		downtrains        = map[string][]Event{}
+	)
+	in.ssds = map[int]*ssdSteps{}
+	ssd := func(i int) *ssdSteps {
+		st := in.ssds[i]
+		if st == nil {
+			st = &ssdSteps{kill: math.Inf(1)}
+			in.ssds[i] = st
 		}
-		if end := e.end(); !math.IsInf(end, 1) && !seen[end] {
-			seen[end] = true
+		return st
+	}
+	for _, e := range in.events {
+		in.bounds = append(in.bounds, e.At)
+		if end := e.end(); !math.IsInf(end, 1) {
 			in.bounds = append(in.bounds, end)
 		}
-	}
-	sortFloats(in.bounds)
-	return in, nil
-}
-
-func sortFloats(v []float64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
+		switch e.Kind {
+		case FailStop:
+			if st := ssd(e.SSD); math.IsInf(st.kill, 1) {
+				st.kill = e.At
+			}
+		case Throttle:
+			ssd(e.SSD)
+			throttles[e.SSD] = append(throttles[e.SSD], e)
+		case ErrorBurst:
+			ssd(e.SSD)
+			bursts[e.SSD] = append(bursts[e.SSD], e)
+		case Straggler:
+			stragglers[e.GPU] = append(stragglers[e.GPU], e)
+		case LinkDowntrain:
+			downtrains[e.Link] = append(downtrains[e.Link], e)
 		}
 	}
+	in.bounds = sortedDistinct(in.bounds)
+	factor := func(e Event) float64 { return e.Factor }
+	for i, st := range in.ssds {
+		st.service = buildSteps(throttles[i], factor)
+		// The table holds the probability that a request sees no error.
+		st.errProb = buildSteps(bursts[i], func(e Event) float64 { return 1 - e.Prob })
+		for k, ok := range st.errProb.val {
+			st.errProb.val[k] = 1 - ok
+		}
+	}
+	in.gpus = make(map[int]*steps, len(stragglers))
+	for g, evs := range stragglers {
+		s := buildSteps(evs, factor)
+		in.gpus[g] = &s
+	}
+	in.links = make(map[string]*steps, len(downtrains))
+	for name, evs := range downtrains {
+		s := buildSteps(evs, factor)
+		in.links[name] = &s
+	}
+	return in, nil
 }
 
 // WithBase returns a view whose local time 0 is absolute time base.
@@ -91,13 +229,7 @@ func (in *Injector) SSDFailed(ssd int, t float64) bool {
 	if in == nil {
 		return false
 	}
-	at := in.abs(t)
-	for _, e := range in.events {
-		if e.Kind == FailStop && e.SSD == ssd && at >= e.At {
-			return true
-		}
-	}
-	return false
+	return in.abs(t) >= in.SSDFailTime(ssd)
 }
 
 // SSDFailTime returns the absolute time the SSD fail-stops, or +Inf.
@@ -105,10 +237,8 @@ func (in *Injector) SSDFailTime(ssd int) float64 {
 	if in == nil {
 		return math.Inf(1)
 	}
-	for _, e := range in.events {
-		if e.Kind == FailStop && e.SSD == ssd {
-			return e.At
-		}
+	if st := in.ssds[ssd]; st != nil {
+		return st.kill
 	}
 	return math.Inf(1)
 }
@@ -119,24 +249,15 @@ func (in *Injector) SSDFactor(ssd int, t float64) float64 {
 	if in == nil {
 		return 1
 	}
-	at := in.abs(t)
-	f := 1.0
-	for _, e := range in.events {
-		if e.SSD != ssd {
-			continue
-		}
-		switch e.Kind {
-		case FailStop:
-			if at >= e.At {
-				return 0
-			}
-		case Throttle:
-			if e.activeAt(at) {
-				f *= e.Factor
-			}
-		}
+	st := in.ssds[ssd]
+	if st == nil {
+		return 1
 	}
-	return f
+	at := in.abs(t)
+	if at >= st.kill {
+		return 0
+	}
+	return st.service.value(at, 1)
 }
 
 // ErrorProb returns the per-request transient-error probability on the
@@ -145,14 +266,11 @@ func (in *Injector) ErrorProb(ssd int, t float64) float64 {
 	if in == nil {
 		return 0
 	}
-	at := in.abs(t)
-	ok := 1.0 // probability a request sees no error
-	for _, e := range in.events {
-		if e.Kind == ErrorBurst && e.SSD == ssd && e.activeAt(at) {
-			ok *= 1 - e.Prob
-		}
+	st := in.ssds[ssd]
+	if st == nil {
+		return 0
 	}
-	return 1 - ok
+	return st.errProb.value(in.abs(t), 0)
 }
 
 // GPUFactor returns the GPU's remaining compute-rate fraction at time t.
@@ -160,14 +278,7 @@ func (in *Injector) GPUFactor(gpu int, t float64) float64 {
 	if in == nil {
 		return 1
 	}
-	at := in.abs(t)
-	f := 1.0
-	for _, e := range in.events {
-		if e.Kind == Straggler && e.GPU == gpu && e.activeAt(at) {
-			f *= e.Factor
-		}
-	}
-	return f
+	return in.gpus[gpu].value(in.abs(t), 1)
 }
 
 // LinkFactor returns the capacity fraction of a named fabric link at time
@@ -181,13 +292,7 @@ func (in *Injector) LinkFactor(name string, t float64) float64 {
 	if in == nil {
 		return 1
 	}
-	f := 1.0
-	at := in.abs(t)
-	for _, e := range in.events {
-		if e.Kind == LinkDowntrain && e.Link == name && e.activeAt(at) {
-			f *= e.Factor
-		}
-	}
+	f := in.links[name].value(in.abs(t), 1)
 	if ssd, ok := ssdLinkIndex(name); ok {
 		f *= in.SSDFactor(ssd, t) * GoodputFactor(in.ErrorProb(ssd, t))
 	}
@@ -214,13 +319,21 @@ func (in *Injector) NextChange(t float64) float64 {
 	if in == nil {
 		return math.Inf(1)
 	}
-	at := in.abs(t)
-	for _, b := range in.bounds {
-		if b > at+1e-12 {
-			return b - in.base
-		}
+	if i := countLE(in.bounds, in.abs(t)+1e-12); i < len(in.bounds) {
+		return in.bounds[i] - in.base
 	}
 	return math.Inf(1)
+}
+
+// Segment returns the number of event boundaries at or before local time
+// t. Every factor is constant over a segment, so two times with equal
+// Segment see equal factors; a simulator can re-read factors only when the
+// segment changes.
+func (in *Injector) Segment(t float64) int {
+	if in == nil {
+		return 0
+	}
+	return countLE(in.bounds, in.abs(t))
 }
 
 // InjectedBy counts events whose start time is <= local time t.
@@ -229,13 +342,7 @@ func (in *Injector) InjectedBy(t float64) int {
 		return 0
 	}
 	at := in.abs(t)
-	n := 0
-	for _, e := range in.events {
-		if e.At <= at {
-			n++
-		}
-	}
-	return n
+	return sort.Search(len(in.events), func(i int) bool { return in.events[i].At > at })
 }
 
 // Bernoulli draws a deterministic error coin: true with probability p,
@@ -266,14 +373,17 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// CheckTargets validates the schedule's device indices against a machine
-// shape (numSSDs, numGPUs). Link names cannot be validated here — the
-// fabric owns the namespace — so they are checked at simulation time.
-func (in *Injector) CheckTargets(numSSDs, numGPUs int) error {
+// CheckTargets validates the schedule's targets against a machine: its
+// device counts (numSSDs, numGPUs) and the names of its fabric's links,
+// which every downtrain must name.
+func (in *Injector) CheckTargets(numSSDs, numGPUs int, links []string) error {
 	if in == nil {
 		return nil
 	}
 	for _, e := range in.events {
+		if e.Kind == LinkDowntrain && !slices.Contains(links, e.Link) {
+			return fmt.Errorf("faults: downtrain targets link %q, which the machine's fabric lacks", e.Link)
+		}
 		if e.SSD >= numSSDs && (e.Kind == FailStop || e.Kind == Throttle || e.Kind == ErrorBurst) {
 			return fmt.Errorf("faults: %s targets ssd%d but machine has %d SSDs", e.Kind, e.SSD, numSSDs)
 		}

@@ -845,6 +845,48 @@ func TestHostileSpecsRealPlanner(t *testing.T) {
 	}
 }
 
+// TestDowntrainOnMissingLinkRealPlanner: a downtrain naming a link the
+// machine's fabric lacks is a planner error. momentd answers 422 with the
+// link's name, caches nothing, and runs the planner again on a repeat.
+func TestDowntrainOnMissingLinkRealPlanner(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real planner runs in -short mode")
+	}
+	s := New(Config{Workers: 2})
+	t.Cleanup(func() { _ = s.Close() })
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	runs := s.obs.Counter("momentd_planner_runs_total")
+	for i, link := range []string{"gpu0in", "up:sw9", "gpu0in"} {
+		body, _ := json.Marshal(PlanRequest{Machine: "A", Workload: WorkloadSpec{Dataset: "PA"},
+			Faults: "downtrain:" + link + "@1x0.1"})
+		resp, err := ts.Client().Post(ts.URL+"/v1/plan", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(raw), link) {
+			t.Errorf("downtrain on %q: status %d, body %s; want a 422 naming the link", link, resp.StatusCode, raw)
+		}
+		if got := runs.Value(); got != float64(i+1) {
+			t.Errorf("after request %d: %v planner runs, want %d", i+1, got, i+1)
+		}
+	}
+	if n := s.plans.Len(); n != 0 {
+		t.Errorf("plan cache holds %d entries after planner errors, want 0", n)
+	}
+	body, _ := json.Marshal(PlanRequest{Machine: "A", Workload: WorkloadSpec{Dataset: "PA"},
+		Faults: "downtrain:gpu0:in@1x0.1"})
+	if code, _, _ := postPlan(t, ts, body, nil); code != http.StatusOK {
+		t.Errorf("downtrain on gpu0:in: status %d, want 200", code)
+	}
+}
+
 // TestPlanCacheKeysExactSpec: the plan cache keys on the exact machine.
 // Two specs that differ only in the fifth decimal of cachefrac plan apart,
 // while a named machine and its FormatSpec text share one entry.

@@ -47,6 +47,16 @@ type Net struct {
 	ran    bool
 	obsrv  *obs.Observer // nil = no instrumentation
 	faults FaultLookup   // nil = perfect fabric
+
+	// eff caches each link's effective rate under faults for fault
+	// segment seg (-1: not read yet).
+	eff []float64
+	seg int
+
+	// Scratch reused by every maxMinRates call.
+	residual []float64
+	countOn  []int
+	frozen   []bool
 }
 
 // SetObserver attaches an observer so Run reports a span plus per-link
@@ -54,10 +64,11 @@ type Net struct {
 func (n *Net) SetObserver(o *obs.Observer) { n.obsrv = o }
 
 // FaultLookup is the fault-injector view the simulator queries during the
-// event loop: a piecewise-constant capacity factor per named link, and the
-// next time any factor changes (so rate recomputation lands exactly on
-// fault boundaries). faults.Injector implements it; the interface keeps
-// simnet free of a package dependency.
+// event loop: a piecewise-constant capacity factor per named link, the
+// segment of the schedule a time falls in, and the next time any factor
+// changes (so rate recomputation lands exactly on fault boundaries).
+// faults.Injector implements it; the interface keeps simnet free of a
+// package dependency.
 type FaultLookup interface {
 	// LinkFactor returns the capacity fraction of the named link at time
 	// t (1 = healthy, 0 = dead).
@@ -65,19 +76,42 @@ type FaultLookup interface {
 	// NextChange returns the earliest time strictly after t at which any
 	// factor may change, or +Inf.
 	NextChange(t float64) float64
+	// Segment numbers the stretch of constant factors that time t falls
+	// in: two times with equal Segment see equal link factors.
+	Segment(t float64) int
 }
 
 // SetFaults attaches a fault injector whose link factors scale capacities
 // during Run. Nil detaches. Must be set before Run.
-func (n *Net) SetFaults(f FaultLookup) { n.faults = f }
+func (n *Net) SetFaults(f FaultLookup) {
+	n.faults = f
+	n.seg = -1
+}
 
-// effRate is a link's capacity at time now under the attached faults.
-func (n *Net) effRate(li int, now float64) float64 {
-	r := n.links[li].rate
-	if n.faults != nil {
-		r *= n.faults.LinkFactor(n.links[li].name, now)
+// syncRates brings the effective-rate cache to the fault segment of time
+// now and reports whether any link's effective rate moved. It re-reads
+// LinkFactor only when the segment changes. NextChange is no guide here:
+// its slack can step a run over a boundary.
+func (n *Net) syncRates(now float64) bool {
+	if n.faults == nil {
+		return false
 	}
-	return r
+	seg := n.faults.Segment(now)
+	if len(n.eff) != len(n.links) {
+		n.eff = make([]float64, len(n.links))
+	} else if seg == n.seg {
+		return false
+	}
+	n.seg = seg
+	moved := false
+	for li, l := range n.links {
+		r := l.rate * n.faults.LinkFactor(l.name, now)
+		if r != n.eff[li] {
+			moved = true
+		}
+		n.eff[li] = r
+	}
+	return moved
 }
 
 // New returns an empty network.
@@ -107,9 +141,14 @@ func (n *Net) AddFlow(name string, path []LinkID, bytes, start float64) (FlowID,
 			return 0, fmt.Errorf("simnet: flow %q references unknown link %d", name, l)
 		}
 	}
+	// After ClearFlows, the slot's old path buffer takes the new path.
+	var buf []LinkID
+	if len(n.flows) < cap(n.flows) {
+		buf = n.flows[:len(n.flows)+1][len(n.flows)].path[:0]
+	}
 	n.flows = append(n.flows, flow{
 		name:   name,
-		path:   append([]LinkID(nil), path...),
+		path:   append(buf, path...),
 		bytes:  bytes,
 		start:  start,
 		remain: bytes,
@@ -119,18 +158,30 @@ func (n *Net) AddFlow(name string, path []LinkID, bytes, start float64) (FlowID,
 }
 
 // maxMinRates computes progressive-filling fair rates for the active flows
-// under the link capacities in effect at time now. active maps flow index
-// -> true. Rates are written into n.flows[i].rate.
-func (n *Net) maxMinRates(active []int, now float64) {
+// (flow indices) under the link capacities in effect: the cached effective
+// rates under faults, the nominal rates without. Rates are written into
+// n.flows[i].rate.
+func (n *Net) maxMinRates(active []int) {
+	if cap(n.residual) < len(n.links) {
+		n.residual = make([]float64, len(n.links))
+		n.countOn = make([]int, len(n.links))
+	}
+	if cap(n.frozen) < len(n.flows) {
+		n.frozen = make([]bool, len(n.flows))
+	}
+	residual, countOn, frozen := n.residual[:len(n.links)], n.countOn[:len(n.links)], n.frozen[:len(n.flows)]
+	if n.faults != nil {
+		copy(residual, n.eff)
+	} else {
+		for li, l := range n.links {
+			residual[li] = l.rate
+		}
+	}
+	clear(countOn)
 	for _, fi := range active {
 		n.flows[fi].rate = 0
+		frozen[fi] = false
 	}
-	residual := make([]float64, len(n.links))
-	for i := range n.links {
-		residual[i] = n.effRate(i, now)
-	}
-	countOn := make([]int, len(n.links))
-	frozen := make([]bool, len(n.flows))
 	remaining := 0
 	for _, fi := range active {
 		if len(n.flows[fi].path) == 0 {
@@ -213,8 +264,8 @@ type Result struct {
 	// RateSolves counts max-min fair-rate recomputations the event loop
 	// performed; RateReuses counts events where the previous allocation was
 	// provably still valid (active set unchanged and no link's effective
-	// capacity moved — e.g. a fault boundary that only touched GPU or SSD
-	// factors) and the solve was skipped.
+	// capacity moved — e.g. a fault boundary that only touched GPU factors)
+	// and the solve was skipped.
 	RateSolves int
 	RateReuses int
 }
@@ -268,12 +319,12 @@ func (n *Net) runUntil(stop float64) (*Result, error) {
 	// Incremental flow-delta evaluation: the fair-rate allocation only
 	// depends on the active set and the links' effective capacities. Both
 	// are piecewise-constant between events, so an event that changes
-	// neither — typically a fault boundary whose factors touch GPUs or
-	// SSDs but no link — reuses the previous allocation instead of
-	// re-running progressive filling.
+	// neither — typically a fault boundary whose factors touch GPUs but no
+	// link — reuses the previous allocation instead of re-running
+	// progressive filling. (An error burst does move a link: its SSD's
+	// egress carries the goodput factor.)
 	rateSolves, rateReuses := 0, 0
 	ratesValid := false
-	lastEff := make([]float64, len(n.links))
 
 	for len(pending) > 0 || len(active) > 0 {
 		if now >= stop-1e-12 {
@@ -297,21 +348,13 @@ func (n *Net) runUntil(stop float64) (*Result, error) {
 			now = next
 			continue
 		}
-		if ratesValid {
-			for li := range n.links {
-				if n.effRate(li, now) != lastEff[li] {
-					ratesValid = false
-					break
-				}
-			}
+		if n.syncRates(now) {
+			ratesValid = false
 		}
 		if ratesValid {
 			rateReuses++
 		} else {
-			n.maxMinRates(active, now)
-			for li := range n.links {
-				lastEff[li] = n.effRate(li, now)
-			}
+			n.maxMinRates(active)
 			ratesValid = true
 			rateSolves++
 		}
@@ -449,7 +492,8 @@ func (n *Net) InitialRates() []float64 {
 	for i := range n.flows {
 		saved[i] = n.flows[i].rate
 	}
-	n.maxMinRates(active, 0)
+	n.syncRates(0)
+	n.maxMinRates(active)
 	out := make([]float64, len(n.flows))
 	for i := range n.flows {
 		out[i] = n.flows[i].rate

@@ -180,7 +180,9 @@ func (m *Machine) Depth(id string) (int, error) {
 // the figures the planner divides by: every rate, size and IOPS value is
 // finite, every link rate is positive, the SSD figures are positive when
 // there are SSDs, the NVLink rate is positive when there are NVLinks, and
-// the GPU cache fraction lies in [0,1].
+// the GPU cache fraction lies in [0,1]. A byte rate that is not zero is at
+// least 1 B/s: its GiB/s form is then exact, so FormatSpec writes it back
+// unchanged.
 func (m *Machine) Validate() error {
 	if m.Name == "" {
 		return fmt.Errorf("topology: machine has no name")
@@ -211,8 +213,8 @@ func (m *Machine) Validate() error {
 			if p.Parent == "" {
 				return fmt.Errorf("topology: switch %q has no parent", p.ID)
 			}
-			if up := float64(p.UplinkBW); !(up > 0) || math.IsInf(up, 1) {
-				return fmt.Errorf("topology: switch %q uplink rate %v is not positive and finite", p.ID, up)
+			if up := float64(p.UplinkBW); !(up >= 1) || math.IsInf(up, 1) {
+				return fmt.Errorf("topology: switch %q uplink rate %v B/s is not a finite rate of at least 1 B/s", p.ID, up)
 			}
 		default:
 			return fmt.Errorf("topology: attach point %q has device kind %v", p.ID, p.Kind)
@@ -274,22 +276,26 @@ func (m *Machine) Validate() error {
 		name     string
 		v        float64
 		positive bool // must be > 0, not just finite
+		rate     bool // a byte rate: zero or at least 1 B/s
 	}{
-		{"QPI rate", float64(m.QPIBW), true},
-		{"DRAM rate", float64(m.DRAMBW), true},
-		{"PCIe x16 rate", float64(m.PCIeX16), true},
-		{"PCIe x4 rate", float64(m.PCIeX4), true},
-		{"SSD rate", float64(m.SSDBW), m.NumSSDs > 0},
-		{"SSD IOPS", m.SSDIOPS, m.NumSSDs > 0},
-		{"SSD capacity", float64(m.SSDCapacity), m.NumSSDs > 0},
-		{"NVLink rate", float64(m.NVLinkBW), len(m.NVLinks) > 0},
-		{"NIC rate", float64(m.NICBW), false},
+		{"QPI rate", float64(m.QPIBW), true, true},
+		{"DRAM rate", float64(m.DRAMBW), true, true},
+		{"PCIe x16 rate", float64(m.PCIeX16), true, true},
+		{"PCIe x4 rate", float64(m.PCIeX4), true, true},
+		{"SSD rate", float64(m.SSDBW), m.NumSSDs > 0, true},
+		{"SSD IOPS", m.SSDIOPS, m.NumSSDs > 0, false},
+		{"SSD capacity", float64(m.SSDCapacity), m.NumSSDs > 0, false},
+		{"NVLink rate", float64(m.NVLinkBW), len(m.NVLinks) > 0, true},
+		{"NIC rate", float64(m.NICBW), false, true},
 	} {
 		if math.IsInf(f.v, 0) || math.IsNaN(f.v) {
 			return fmt.Errorf("topology: %s %s %v is not finite", m.Name, f.name, f.v)
 		}
 		if f.positive && f.v <= 0 {
 			return fmt.Errorf("topology: %s %s %v is not positive", m.Name, f.name, f.v)
+		}
+		if f.rate && f.v > 0 && f.v < 1 {
+			return fmt.Errorf("topology: %s %s %v B/s is under 1 B/s", m.Name, f.name, f.v)
 		}
 	}
 	return nil

@@ -71,6 +71,9 @@ func TestValidateRejectsBadMachines(t *testing.T) {
 		func() *Machine { m := MachineA(); m.Points[2].Parent = ""; return m },
 		func() *Machine { m := MachineA(); m.Points[2].Parent = "ghost"; return m },
 		func() *Machine { m := MachineA(); m.Points[2].UplinkBW = 0; return m },
+		func() *Machine { m := MachineA(); m.Points[2].UplinkBW = 1e-320; return m }, // subnormal
+		func() *Machine { m := MachineA(); m.QPIBW = 0.5; return m },
+		func() *Machine { m := MachineA(); m.NICBW = 1e-320; return m },
 		func() *Machine { m := MachineA(); m.Points[2].Bays = -1; return m },
 		func() *Machine { m := MachineA(); m.NumGPUs = 100; return m },
 		func() *Machine { m := MachineA(); m.NumSSDs = -1; return m },

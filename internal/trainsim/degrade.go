@@ -48,9 +48,9 @@ type FaultReport struct {
 }
 
 // flowSpec is one logical epoch transfer: a source endpoint, a destination
-// GPU, and the bytes to move. Keeping flows in logical form (rather than
-// resolved link paths) lets the degradation loop rebuild them on a fresh
-// fabric for each timeline segment.
+// GPU, and the bytes to move. Keeping flows in logical form lets the
+// degradation loop re-route a dead device's bytes between timeline
+// segments; path caches the route once addFlows has resolved it.
 type flowSpec struct {
 	name  string
 	ssd   int    // source SSD index, or -1
@@ -58,6 +58,7 @@ type flowSpec struct {
 	hbm   int    // source GPU cache for peer flows, or -1
 	gpu   int    // destination GPU
 	bytes float64
+	path  []simnet.LinkID // nil until resolved (and for local HBM hits)
 }
 
 // buildFlowSpecs converts a placement's per-bin served bytes into the
@@ -117,27 +118,29 @@ func buildFlowSpecs(cfg Config, pl *plan, served []float64, gpuBin []int, dramBi
 	return specs
 }
 
-// addFlows resolves each spec's path on the fabric and registers it. Flow
+// addFlows clears the fabric's flows and registers specs in their place,
+// resolving each spec's path on first use and keeping it in the spec. Flow
 // IDs are assigned sequentially, so flow i in the result corresponds to
 // specs[i].
 func addFlows(fab *Fabric, specs []flowSpec) error {
-	for _, s := range specs {
-		var (
-			path []simnet.LinkID
-			err  error
-		)
-		switch {
-		case s.ssd >= 0:
-			path, err = fab.PathSSDToGPU(s.ssd, s.gpu)
-		case s.rc != "":
-			path, err = fab.PathDRAMToGPU(s.rc, s.gpu)
-		default:
-			path, err = fab.PathHBMToGPU(s.hbm, s.gpu)
+	fab.Net.ClearFlows()
+	for i := range specs {
+		s := &specs[i]
+		if s.path == nil {
+			var err error
+			switch {
+			case s.ssd >= 0:
+				s.path, err = fab.PathSSDToGPU(s.ssd, s.gpu)
+			case s.rc != "":
+				s.path, err = fab.PathDRAMToGPU(s.rc, s.gpu)
+			default:
+				s.path, err = fab.PathHBMToGPU(s.hbm, s.gpu)
+			}
+			if err != nil {
+				return err
+			}
 		}
-		if err != nil {
-			return err
-		}
-		if _, err := fab.Net.AddFlow(s.name, path, s.bytes, 0); err != nil {
+		if _, err := fab.Net.AddFlow(s.name, s.path, s.bytes, 0); err != nil {
 			return err
 		}
 	}
@@ -145,7 +148,10 @@ func addFlows(fab *Fabric, specs []flowSpec) error {
 }
 
 type degradeInput struct {
-	cfg        Config
+	cfg Config
+	// fab is re-armed for every timeline segment; specs get their paths
+	// resolved on it.
+	fab        *Fabric
 	specs      []flowSpec
 	inj        *faults.Injector
 	pol        faults.RetryPolicy
@@ -169,7 +175,7 @@ type degradeInput struct {
 // timeline: the segment runs up to the failure, the dead device's
 // remaining bytes re-route to surviving SSDs weighted by a degraded
 // placement re-solve, a recovery stall is charged, and the continuation
-// resumes on a fresh fabric with the injector's clock re-based.
+// resumes on the re-armed fabric with the injector's clock re-based.
 func simulateDegradedIO(in degradeInput) (float64, *FaultReport, error) {
 	m := in.cfg.Machine
 	rep := &FaultReport{}
@@ -179,7 +185,7 @@ func simulateDegradedIO(in degradeInput) (float64, *FaultReport, error) {
 	}
 	var repl *adaptive.Replanner
 	bins := in.bins
-	cur := append([]flowSpec(nil), in.specs...)
+	cur := in.specs
 	t := in.t0
 	for {
 		// Next unhandled SSD fail-stop, in absolute time.
@@ -193,10 +199,7 @@ func simulateDegradedIO(in degradeInput) (float64, *FaultReport, error) {
 			}
 		}
 
-		fab, err := NewFabric(m, in.cfg.Placement)
-		if err != nil {
-			return 0, nil, err
-		}
+		fab := in.fab
 		if err := addFlows(fab, cur); err != nil {
 			return 0, nil, err
 		}

@@ -179,3 +179,32 @@ func TestStragglerComputeStretch(t *testing.T) {
 		t.Errorf("transient straggler stretch = %v, want 12", got)
 	}
 }
+
+// A downtrain must name a link of the machine's fabric: a typo would
+// otherwise simulate a healthy epoch. Both entry points reject it and name
+// the link.
+func TestDowntrainOnMissingLinkRejected(t *testing.T) {
+	cfg := classicCfg(t, topology.MachineA(), topology.LayoutC, "IG")
+	healthy := simulate(t, cfg).EpochTime.Sec()
+	for _, link := range []string{"gpu0in", "up:sw9"} {
+		c := cfg
+		var err error
+		if c.Faults, err = faults.Parse("downtrain:" + link + "@1x0.1"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := SimulateEpoch(c); err == nil || !strings.Contains(err.Error(), `"`+link+`"`) {
+			t.Errorf("SimulateEpoch with a downtrain on %q: error %v, want one naming the link", link, err)
+		}
+		if _, err := SimulateEpochs(c, SweepOptions{Epochs: 3}); err == nil || !strings.Contains(err.Error(), `"`+link+`"`) {
+			t.Errorf("SimulateEpochs with a downtrain on %q: error %v, want one naming the link", link, err)
+		}
+	}
+	c := cfg
+	c.Faults = &faults.Schedule{Events: []faults.Event{faults.Downtrain("gpu0:in", 1, 0.1, 0)}}
+	if got := simulate(t, c).EpochTime.Sec(); !(got > healthy) {
+		t.Errorf("downtrain on gpu0:in: epoch %v s, healthy %v s; want it slower", got, healthy)
+	}
+	if _, err := SimulateEpochs(c, SweepOptions{Epochs: 3}); err != nil {
+		t.Errorf("SimulateEpochs with a downtrain on gpu0:in: %v", err)
+	}
+}

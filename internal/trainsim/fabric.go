@@ -216,6 +216,15 @@ func (f *Fabric) PathHBMToGPU(src, dst int) ([]simnet.LinkID, error) {
 	return append(path, f.gpuIn[dst]), nil
 }
 
+// linkNames returns the names of the fabric's links in link order.
+func (f *Fabric) linkNames() []string {
+	names := make([]string, f.Net.NumLinks())
+	for i := range names {
+		names[i] = f.Net.LinkName(simnet.LinkID(i))
+	}
+	return names
+}
+
 // QPIBytes sums bytes carried over all socket-interconnect links in a
 // completed run.
 func (f *Fabric) QPIBytes(res *simnet.Result) float64 {

@@ -8,7 +8,6 @@ import (
 	"moment/internal/ddak"
 	"moment/internal/faults"
 	"moment/internal/obs"
-	"moment/internal/simnet"
 	"moment/internal/units"
 )
 
@@ -160,6 +159,11 @@ func simulateEpochs(cfg Config, opt SweepOptions, memo bool) (*SweepResult, erro
 	m := cfg.Machine
 	nGPU := m.NumGPUs
 
+	// One fabric prices every epoch, re-armed for each run.
+	fab, err := NewFabric(m, cfg.Placement)
+	if err != nil {
+		return nil, err
+	}
 	var (
 		inj       *faults.Injector
 		linkNames []string // fabric link order, for the memo key
@@ -168,16 +172,9 @@ func simulateEpochs(cfg Config, opt SweepOptions, memo bool) (*SweepResult, erro
 		if inj, err = faults.NewInjector(cfg.Faults); err != nil {
 			return nil, err
 		}
-		if err := inj.CheckTargets(m.NumSSDs, nGPU); err != nil {
+		linkNames = fab.linkNames()
+		if err := inj.CheckTargets(m.NumSSDs, nGPU, linkNames); err != nil {
 			return nil, err
-		}
-		probe, err := NewFabric(m, cfg.Placement)
-		if err != nil {
-			return nil, err
-		}
-		linkNames = make([]string, probe.Net.NumLinks())
-		for i := range linkNames {
-			linkNames[i] = probe.Net.LinkName(simnet.LinkID(i))
 		}
 	}
 	var dl *driftLoop
@@ -265,7 +262,7 @@ func simulateEpochs(cfg Config, opt SweepOptions, memo bool) (*SweepResult, erro
 					return nil, err
 				}
 			}
-			if ep, err = priceEpoch(es, specs, inj, pol, dead, tIO); err != nil {
+			if ep, err = priceEpoch(es, fab, specs, inj, pol, dead, tIO); err != nil {
 				return nil, fmt.Errorf("trainsim: horizon epoch %d (t=%.3f): %w", e, t, err)
 			}
 			res.Resims++
@@ -304,16 +301,13 @@ func simulateEpochs(cfg Config, opt SweepOptions, memo bool) (*SweepResult, erro
 	return res, nil
 }
 
-// priceEpoch simulates one epoch whose I/O starts at absolute time tIO and
-// returns its pipelined duration. Without a fault schedule that is one
-// plain fabric run; with one, the degraded timeline plus straggler compute.
-func priceEpoch(es *epochSetup, specs []flowSpec, inj *faults.Injector, pol faults.RetryPolicy, dead map[int]bool, tIO float64) (float64, error) {
+// priceEpoch simulates one epoch whose I/O starts at absolute time tIO on
+// fab and returns its pipelined duration. Without a fault schedule that is
+// one plain fabric run; with one, the degraded timeline plus straggler
+// compute.
+func priceEpoch(es *epochSetup, fab *Fabric, specs []flowSpec, inj *faults.Injector, pol faults.RetryPolicy, dead map[int]bool, tIO float64) (float64, error) {
 	cfg := es.cfg
 	if inj == nil {
-		fab, err := NewFabric(cfg.Machine, cfg.Placement)
-		if err != nil {
-			return 0, err
-		}
 		if err := addFlows(fab, specs); err != nil {
 			return 0, err
 		}
@@ -325,6 +319,7 @@ func priceEpoch(es *epochSetup, specs []flowSpec, inj *faults.Injector, pol faul
 	}
 	end, _, err := simulateDegradedIO(degradeInput{
 		cfg:        cfg,
+		fab:        fab,
 		specs:      specs,
 		inj:        inj,
 		pol:        pol,

@@ -1,11 +1,15 @@
 package trainsim
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"moment/internal/faults"
+	"moment/internal/topology"
 )
 
 // sameEpochs fails unless got and want agree epoch by epoch within rel.
@@ -137,4 +141,81 @@ func TestHorizonFaultsAndDriftCompose(t *testing.T) {
 			t.Errorf("epoch %d: kill inside the stall %v s, inside the I/O %v s; want the first faster", ev, b, a)
 		}
 	})
+}
+
+// recurringFaults is the horizon-faults benchmark's schedule over epochs
+// epochs of ep seconds: throttles, error bursts and GPU stragglers recur
+// every 2–6 epochs, and one SSD fail-stops mid-horizon. The pinned test
+// and BenchmarkHorizonFaults below share it.
+func recurringFaults(seed int64, m *topology.Machine, epochs int, ep float64) *faults.Schedule {
+	rng := rand.New(rand.NewSource(seed))
+	dur := func() float64 { return (0.3 + rng.Float64()) * ep }
+	var ev []faults.Event
+	for t := 2 * ep; t < float64(epochs)*ep; t += (2 + 4*rng.Float64()) * ep {
+		switch rng.Intn(3) {
+		case 0:
+			ev = append(ev, faults.ThrottleSSD(rng.Intn(m.NumSSDs), t, 0.3+0.5*rng.Float64(), dur()))
+		case 1:
+			ev = append(ev, faults.Burst(rng.Intn(m.NumSSDs), t, 0.1+0.4*rng.Float64(), dur()))
+		default:
+			ev = append(ev, faults.Straggle(rng.Intn(m.NumGPUs), t, 0.4+0.5*rng.Float64(), dur()))
+		}
+	}
+	ev = append(ev, faults.Kill(rng.Intn(m.NumSSDs), (float64(epochs)/2+0.37)*ep))
+	return &faults.Schedule{Seed: seed, Events: ev}
+}
+
+// epochChecksum hashes every epoch time's bits in order.
+func epochChecksum(times []float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, x := range times {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestHorizonFaultsShapePinned pins the horizon-faults benchmark's shape bit
+// for bit: machine A layout C, IG/GraphSAGE, 500 epochs under recurring
+// throttles, bursts and stragglers plus one kill, four schedule seeds.
+func TestHorizonFaultsShapePinned(t *testing.T) {
+	cfg := classicCfg(t, topology.MachineA(), topology.LayoutC, "IG")
+	ep := simulate(t, cfg).EpochTime.Sec()
+	for _, want := range []struct {
+		seed         int64
+		total        float64
+		checksum     uint64
+		resims, hits int
+		dead         []int
+	}{
+		{1, 7224.33379166346, 0xadc9e499c229a3cb, 216, 284, []int{2}},
+		{2, 7200.509602997682, 0x61d2b6fd31b66ca7, 217, 283, []int{6}},
+		{3, 7162.272525816044, 0x59ee2390131f03f, 198, 302, []int{2}},
+		{4, 7128.887855476828, 0xeb313e839647440f, 226, 274, []int{4}},
+	} {
+		c := cfg
+		c.Faults = recurringFaults(want.seed, c.Machine, 500, ep)
+		got := sweep(t, c, SweepOptions{Epochs: 500})
+		if got.Total.Sec() != want.total || epochChecksum(got.EpochTimes) != want.checksum ||
+			got.Resims != want.resims || got.CacheHits != want.hits || !reflect.DeepEqual(got.DeadSSDs, want.dead) {
+			t.Errorf("seed %d: total %v s, checksum %#x, resims %d, hits %d, dead %v; want %v s, %#x, %d, %d, %v",
+				want.seed, got.Total.Sec(), epochChecksum(got.EpochTimes), got.Resims, got.CacheHits, got.DeadSSDs,
+				want.total, want.checksum, want.resims, want.hits, want.dead)
+		}
+	}
+}
+
+// BenchmarkHorizonFaults times one horizon-faults operation: 500 epochs of
+// machine A layout C on IG/GraphSAGE under recurringFaults (schedule seed
+// 1), each epoch priced on the fabric or served from the memo.
+func BenchmarkHorizonFaults(b *testing.B) {
+	cfg := classicCfg(b, topology.MachineA(), topology.LayoutC, "IG")
+	cfg.Faults = recurringFaults(1, cfg.Machine, 500, simulate(b, cfg).EpochTime.Sec())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SimulateEpochs(cfg, SweepOptions{Epochs: 500}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

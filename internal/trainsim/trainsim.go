@@ -675,6 +675,8 @@ func (wp *WorkloadPlan) simulate(p *topology.Placement, o *obs.Observer, epochSp
 	fabSp := epochSp.Child("fabric-sim")
 	fab.Net.SetObserver(scoped)
 	runRes, err := fab.Net.Run()
+	// Only the nominal run is observed; the degraded runs re-arm fab.
+	fab.Net.SetObserver(nil)
 	fabSp.End()
 	if err != nil {
 		return nil, err
@@ -693,7 +695,7 @@ func (wp *WorkloadPlan) simulate(p *topology.Placement, o *obs.Observer, epochSp
 		if err != nil {
 			return nil, err
 		}
-		if err := inj.CheckTargets(m.NumSSDs, nGPU); err != nil {
+		if err := inj.CheckTargets(m.NumSSDs, nGPU, fab.linkNames()); err != nil {
 			return nil, err
 		}
 		// Flight-record every scheduled fault transition so a post-hoc dump
@@ -716,6 +718,7 @@ func (wp *WorkloadPlan) simulate(p *topology.Placement, o *obs.Observer, epochSp
 		nominalEpoch := epoch
 		degIO, rep, err := simulateDegradedIO(degradeInput{
 			cfg:        cfg,
+			fab:        fab,
 			specs:      specs,
 			inj:        inj,
 			pol:        cfg.Retry.Defaults(),

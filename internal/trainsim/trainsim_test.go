@@ -8,7 +8,7 @@ import (
 	"moment/internal/topology"
 )
 
-func simulate(t *testing.T, cfg Config) *Result {
+func simulate(t testing.TB, cfg Config) *Result {
 	t.Helper()
 	r, err := SimulateEpoch(cfg)
 	if err != nil {
@@ -20,7 +20,7 @@ func simulate(t *testing.T, cfg Config) *Result {
 	return r
 }
 
-func classicCfg(t *testing.T, m *topology.Machine, l topology.ClassicLayout, ds string) Config {
+func classicCfg(t testing.TB, m *topology.Machine, l topology.ClassicLayout, ds string) Config {
 	t.Helper()
 	p, err := topology.ClassicPlacement(m, l)
 	if err != nil {

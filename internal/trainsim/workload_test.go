@@ -8,7 +8,7 @@ import (
 	"moment/internal/graph"
 )
 
-func dataset(t *testing.T, name string) graph.Dataset {
+func dataset(t testing.TB, name string) graph.Dataset {
 	t.Helper()
 	d, err := graph.DatasetByName(name)
 	if err != nil {
