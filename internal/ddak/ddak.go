@@ -308,13 +308,21 @@ func checkItems(items []Item, bins []Bin) error {
 	if len(bins) == 0 {
 		return fmt.Errorf("ddak: no bins")
 	}
-	var need, have float64
+	var need float64
 	for i, it := range items {
 		if it.Hot < 0 || math.IsNaN(it.Hot) || it.Bytes <= 0 {
 			return fmt.Errorf("ddak: bad item %d: %+v", i, it)
 		}
 		need += it.Bytes
 	}
+	return CheckCapacity(need, bins)
+}
+
+// CheckCapacity reports whether bins can hold need bytes of items: no bin
+// may have a negative capacity or traffic, and their capacities must add
+// up to need. Every placement checks its items' bytes this way.
+func CheckCapacity(need float64, bins []Bin) error {
+	var have float64
 	for i, b := range bins {
 		if b.Capacity < 0 || b.Traffic < 0 {
 			return fmt.Errorf("ddak: bin %d (%s) has negative capacity or traffic", i, b.Name)

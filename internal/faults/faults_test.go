@@ -24,6 +24,9 @@ func TestNilInjectorIsPerfectMachine(t *testing.T) {
 	if f := in.LinkFactor("ssd0", 5); f != 1 {
 		t.Errorf("nil LinkFactor = %v, want 1", f)
 	}
+	if ref, ok := in.Link("ssd0"); ok || in.LinkFactorAt(ref, 5) != 1 {
+		t.Errorf("nil Link = %v, LinkFactorAt = %v, want false and 1", ok, in.LinkFactorAt(ref, 5))
+	}
 	if f := in.GPUFactor(0, 5); f != 1 {
 		t.Errorf("nil GPUFactor = %v, want 1", f)
 	}

@@ -43,6 +43,14 @@ type ssdSteps struct {
 	kill    float64 // first fail-stop time, +Inf if none
 }
 
+// factor returns the SSD's service-rate fraction at absolute time at.
+func (st *ssdSteps) factor(at float64) float64 {
+	if at >= st.kill {
+		return 0
+	}
+	return st.service.value(at, 1)
+}
+
 // steps is a piecewise-constant value: val[i] holds from at[i] until
 // at[i+1], and the identity holds before at[0].
 type steps struct {
@@ -253,11 +261,7 @@ func (in *Injector) SSDFactor(ssd int, t float64) float64 {
 	if st == nil {
 		return 1
 	}
-	at := in.abs(t)
-	if at >= st.kill {
-		return 0
-	}
-	return st.service.value(at, 1)
+	return st.factor(in.abs(t))
 }
 
 // ErrorProb returns the per-request transient-error probability on the
@@ -289,12 +293,40 @@ func (in *Injector) GPUFactor(gpu int, t float64) float64 {
 // re-occupying the link). This is the single query simnet needs to see
 // every device-level fault.
 func (in *Injector) LinkFactor(name string, t float64) float64 {
+	ref, _ := in.Link(name)
+	return in.LinkFactorAt(ref, t)
+}
+
+// LinkRef is a fabric link resolved against an injector's schedule by
+// Link, so that LinkFactorAt reads its factor without a name lookup.
+type LinkRef struct {
+	down *steps    // downtrains naming the link, nil if none does
+	ssd  *ssdSteps // faults of the SSD whose egress the link is, if any
+}
+
+// Link resolves a fabric link name once for LinkFactorAt. ok is false
+// when no event of the schedule can move the link's factor off 1.
+func (in *Injector) Link(name string) (ref LinkRef, ok bool) {
+	if in == nil {
+		return LinkRef{}, false
+	}
+	ref.down = in.links[name]
+	if ssd, isSSD := ssdLinkIndex(name); isSSD {
+		ref.ssd = in.ssds[ssd]
+	}
+	return ref, ref.down != nil || ref.ssd != nil
+}
+
+// LinkFactorAt is LinkFactor for a link resolved by Link on this injector
+// or on a view of it (WithBase).
+func (in *Injector) LinkFactorAt(ref LinkRef, t float64) float64 {
 	if in == nil {
 		return 1
 	}
-	f := in.links[name].value(in.abs(t), 1)
-	if ssd, ok := ssdLinkIndex(name); ok {
-		f *= in.SSDFactor(ssd, t) * GoodputFactor(in.ErrorProb(ssd, t))
+	at := in.abs(t)
+	f := ref.down.value(at, 1)
+	if st := ref.ssd; st != nil {
+		f *= st.factor(at) * GoodputFactor(st.errProb.value(at, 0))
 	}
 	return f
 }

@@ -25,7 +25,9 @@ func TestInjectorMatchesScan(t *testing.T) {
 // either side of it and between boundaries, under several clock shifts.
 // Every query must equal the oracle's bit for bit, Segment must count the
 // boundaries at or before the query, and two times in one segment must see
-// equal factors.
+// equal factors. A link resolved once by Link must read the oracle's
+// LinkFactor through LinkFactorAt on every clock shift, and a link Link
+// reports no event can move must read 1 throughout.
 func checkInjectorAgainstScan(t *testing.T, s *Schedule) {
 	t.Helper()
 	in, err := NewInjector(s)
@@ -44,6 +46,11 @@ func checkInjectorAgainstScan(t *testing.T, s *Schedule) {
 	links := []string{"up:sw0"}
 	for k := 0; k <= 4; k++ {
 		links = append(links, fmt.Sprintf("ssd%d", k), fmt.Sprintf("gpu%d:in", k))
+	}
+	refs := make([]LinkRef, len(links))
+	moves := make([]bool, len(links))
+	for k, name := range links {
+		refs[k], moves[k] = in.Link(name)
 	}
 	same := func(what string, k int, got, want float64, tq, base float64) {
 		if math.Float64bits(got) != math.Float64bits(want) {
@@ -73,8 +80,12 @@ func checkInjectorAgainstScan(t *testing.T, s *Schedule) {
 				}
 			}
 			for k, name := range links {
-				got := inj.LinkFactor(name, tq)
-				same("LinkFactor of link", k, got, scan.LinkFactor(name, tq), tq, base)
+				got, want := inj.LinkFactor(name, tq), scan.LinkFactor(name, tq)
+				same("LinkFactor of link", k, got, want, tq, base)
+				same("LinkFactorAt of link", k, inj.LinkFactorAt(refs[k], tq), want, tq, base)
+				if !moves[k] && want != 1 {
+					t.Errorf("link %s at t=%v base=%v: factor %v, but Link reported no event moves it", name, tq, base, want)
+				}
 				fs = append(fs, got)
 			}
 			same("NextChange", 0, inj.NextChange(tq), scan.NextChange(tq), tq, base)

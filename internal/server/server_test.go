@@ -887,6 +887,35 @@ func TestDowntrainOnMissingLinkRealPlanner(t *testing.T) {
 	}
 }
 
+// TestBadMemorySpecRejected: a machine spec with negative GPU memory, or
+// with a GPU memory or DRAM size past the int64 range of bytes (which used
+// to wrap to -2^63 B and plan as a slower machine), is a 400. The planner
+// never runs and the plan cache stays empty.
+func TestBadMemorySpecRejected(t *testing.T) {
+	s := New(Config{Workers: 2})
+	t.Cleanup(func() { _ = s.Close() })
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	b := topology.MachineB()
+	for _, c := range []struct{ prefix, line string }{
+		{"gpus", "gpus 4 mem=-40GiB cachefrac=0.15"},
+		{"gpus", "gpus 4 mem=9223372036854775807 cachefrac=0.15"},
+		{"gpus", "gpus 4 mem=-8589934592GiB cachefrac=0.15"},
+		{"dram", "dram 99999999999999999999T 36GiB/s"},
+	} {
+		if code, _, _ := postPlan(t, ts, specBody(t, specWith(b, c.prefix, c.line), "PA"), nil); code != http.StatusBadRequest {
+			t.Errorf("%q: status %d, want 400", c.line, code)
+		}
+	}
+	if n := s.obs.Counter("momentd_planner_runs_total").Value(); n != 0 {
+		t.Errorf("%v planner runs, want 0", n)
+	}
+	if n := s.plans.Len(); n != 0 {
+		t.Errorf("plan cache holds %d entries, want 0", n)
+	}
+}
+
 // TestPlanCacheKeysExactSpec: the plan cache keys on the exact machine.
 // Two specs that differ only in the fifth decimal of cachefrac plan apart,
 // while a named machine and its FormatSpec text share one entry.

@@ -83,6 +83,28 @@ func TestValidateDeepCascade(t *testing.T) {
 	}
 }
 
+// TestParseSpecRejectsBadMemory: a GPU memory or DRAM size that is
+// negative, zero DRAM, or a size past the int64 range of bytes (which used
+// to wrap to -2^63 B and format back as a negative size) is a parse error.
+func TestParseSpecRejectsBadMemory(t *testing.T) {
+	b := FormatSpec(MachineB())
+	for _, c := range []struct{ prefix, line string }{
+		{"gpus", "gpus 4 mem=-40GiB cachefrac=0.15"},
+		{"gpus", "gpus 4 mem=9223372036854775807 cachefrac=0.15"},
+		{"gpus", "gpus 4 mem=-8589934592GiB cachefrac=0.15"},
+		{"dram", "dram 99999999999999999999T 36GiB/s"},
+		{"dram", "dram 0GiB 36GiB/s"},
+		{"ssds", "ssds 8 cap=99999999999999999999T bw=6GiB/s iops=930000"},
+	} {
+		if _, err := ParseSpec(strings.NewReader(withLine(b, c.prefix, c.line))); err == nil {
+			t.Errorf("%q parsed", c.line)
+		}
+	}
+	if _, err := ParseSpec(strings.NewReader(withLine(b, "gpus", "gpus 4 mem=0GiB cachefrac=0.15"))); err != nil {
+		t.Errorf("GPUs without memory: %v", err)
+	}
+}
+
 // FuzzParseSpec: ParseSpec never panics, and whatever it accepts formats
 // to text that parses back to the same machine and formats to the same
 // text again. momentd keys its plan cache on that text.

@@ -275,9 +275,11 @@ func (m *Machine) Validate() error {
 	for _, f := range []struct {
 		name     string
 		v        float64
-		positive bool // must be > 0, not just finite
+		positive bool // must be > 0, not just finite and non-negative
 		rate     bool // a byte rate: zero or at least 1 B/s
 	}{
+		{"DRAM per socket", float64(m.DRAMPerSocket), true, false},
+		{"GPU memory", float64(m.GPUMemory), false, false},
 		{"QPI rate", float64(m.QPIBW), true, true},
 		{"DRAM rate", float64(m.DRAMBW), true, true},
 		{"PCIe x16 rate", float64(m.PCIeX16), true, true},
@@ -293,6 +295,9 @@ func (m *Machine) Validate() error {
 		}
 		if f.positive && f.v <= 0 {
 			return fmt.Errorf("topology: %s %s %v is not positive", m.Name, f.name, f.v)
+		}
+		if f.v < 0 {
+			return fmt.Errorf("topology: %s %s %v is negative", m.Name, f.name, f.v)
 		}
 		if f.rate && f.v > 0 && f.v < 1 {
 			return fmt.Errorf("topology: %s %s %v B/s is under 1 B/s", m.Name, f.name, f.v)

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -74,6 +75,11 @@ func TestValidateRejectsBadMachines(t *testing.T) {
 		func() *Machine { m := MachineA(); m.Points[2].UplinkBW = 1e-320; return m }, // subnormal
 		func() *Machine { m := MachineA(); m.QPIBW = 0.5; return m },
 		func() *Machine { m := MachineA(); m.NICBW = 1e-320; return m },
+		func() *Machine { m := MachineA(); m.NICBW = -1; return m },
+		func() *Machine { m := MachineB(); m.GPUMemory = units.GB(-40); return m },
+		func() *Machine { m := MachineB(); m.GPUMemory = math.MinInt64; return m }, // a wrapped size
+		func() *Machine { m := MachineB(); m.DRAMPerSocket = 0; return m },
+		func() *Machine { m := MachineB(); m.DRAMPerSocket = math.MinInt64; return m },
 		func() *Machine { m := MachineA(); m.Points[2].Bays = -1; return m },
 		func() *Machine { m := MachineA(); m.NumGPUs = 100; return m },
 		func() *Machine { m := MachineA(); m.NumSSDs = -1; return m },

@@ -17,9 +17,11 @@ import (
 // the simulator's time-varying link rates, while SSD fail-stops need
 // placement-level recovery: the run is split at each failure, the dead
 // device's remaining traffic is re-routed to the survivors in proportion
-// to a degraded DDAK re-solve (via adaptive.Replanner.Rebin), and the
-// timeline is charged a recovery stall — the retry policy's timeout plus
-// the full backoff ladder — before the continuation segment starts.
+// to the degraded bins' traffic budgets, and the timeline is charged a
+// recovery stall — the retry policy's timeout plus the full backoff
+// ladder — before the continuation segment starts. A single-epoch report
+// also bills the degraded DDAK re-solve (adaptive.Replanner.Rebin) that
+// migrates each dead device's items; the timeline does not depend on it.
 
 // FaultReport summarizes how an epoch degraded under an injected schedule.
 type FaultReport struct {
@@ -156,9 +158,8 @@ type degradeInput struct {
 	inj        *faults.Injector
 	pol        faults.RetryPolicy
 	bins       []ddak.Bin
+	items      []ddak.Item // the epoch's items, which the survivors must hold
 	ssdBin0    int
-	items      []ddak.Item
-	fetchEpoch float64
 	ssdsPerGPU int
 	// t0 starts the timeline at an absolute schedule time instead of 0, and
 	// dead seeds devices that already fail-stopped before t0 (their traffic
@@ -173,9 +174,10 @@ type degradeInput struct {
 // schedule and returns the degraded I/O time. Non-fail-stop faults ride on
 // the simulator's time-varying link rates; each SSD fail-stop splits the
 // timeline: the segment runs up to the failure, the dead device's
-// remaining bytes re-route to surviving SSDs weighted by a degraded
-// placement re-solve, a recovery stall is charged, and the continuation
-// resumes on the re-armed fabric with the injector's clock re-based.
+// remaining bytes re-route to surviving SSDs weighted by the degraded
+// bins' traffic budgets, a recovery stall is charged, and the continuation
+// resumes on the re-armed fabric with the injector's clock re-based. The
+// report leaves Replans and MovedBytes to billReplans.
 func simulateDegradedIO(in degradeInput) (float64, *FaultReport, error) {
 	m := in.cfg.Machine
 	rep := &FaultReport{}
@@ -183,7 +185,6 @@ func simulateDegradedIO(in degradeInput) (float64, *FaultReport, error) {
 	for j := range in.dead {
 		dead[j] = true
 	}
-	var repl *adaptive.Replanner
 	bins := in.bins
 	cur := in.specs
 	t := in.t0
@@ -232,29 +233,10 @@ func simulateDegradedIO(in degradeInput) (float64, *FaultReport, error) {
 		stall := in.pol.Timeout + in.pol.BackoffTotal()
 		rep.StallSeconds += stall
 
-		// Degraded placement re-solve: the dead bin's budget moves to the
-		// surviving SSDs, and the replanner migrates its items.
-		deadNames := map[string]bool{}
-		for j := range dead {
-			deadNames[fmt.Sprintf("ssd%d", j)] = true
-		}
-		bins, err = ddak.DegradeBins(in.bins, deadNames)
+		// The dead bins' traffic budgets move to the surviving SSDs.
+		bins, err = degradeBins(in.bins, dead, in.cfg.Policy, in.items)
 		if err != nil {
 			return 0, nil, fmt.Errorf("trainsim: cannot degrade past ssd%d failure: %w", fs, err)
-		}
-		if in.cfg.Policy != PolicyHash {
-			if repl == nil {
-				repl, err = newReplannerFromItems(in.items, in.bins, in.cfg.PoolN, in.fetchEpoch)
-				if err != nil {
-					return 0, nil, err
-				}
-			}
-			mig, err := repl.Rebin(bins)
-			if err != nil {
-				return 0, nil, fmt.Errorf("trainsim: degraded re-solve after ssd%d failure: %w", fs, err)
-			}
-			rep.Replans++
-			rep.MovedBytes += mig.MovedBytes
 		}
 
 		// Rebuild the flow list from frozen per-flow progress, re-routing
@@ -333,6 +315,63 @@ func rerouteStranded(next []flowSpec, stranded map[int]float64, cfg Config, bins
 		}
 	}
 	return next, nil
+}
+
+// billReplans fills rep.Replans and rep.MovedBytes for an epoch of es
+// whose SSDs rep.DeadSSDs fail-stopped in that order: after each death the
+// dead bins' budgets move to the survivors and a degraded DDAK re-solve
+// migrates the items, billed against the layout in force before it. The
+// hash policy re-solves nothing.
+func billReplans(rep *FaultReport, es *epochSetup) error {
+	if es.cfg.Policy == PolicyHash || len(rep.DeadSSDs) == 0 {
+		return nil
+	}
+	repl, err := newReplannerFromItems(es.placeItems, es.bins, es.cfg.PoolN, es.pl.fetchEpoch)
+	if err != nil {
+		return err
+	}
+	dead := map[int]bool{}
+	for _, fs := range rep.DeadSSDs {
+		dead[fs] = true
+		bins, err := degradeBins(es.bins, dead, es.cfg.Policy, es.placeItems)
+		if err != nil {
+			return fmt.Errorf("trainsim: cannot degrade past ssd%d failure: %w", fs, err)
+		}
+		mig, err := repl.Rebin(bins)
+		if err != nil {
+			return fmt.Errorf("trainsim: degraded re-solve after ssd%d failure: %w", fs, err)
+		}
+		rep.Replans++
+		rep.MovedBytes += mig.MovedBytes
+	}
+	return nil
+}
+
+// degradeBins moves the traffic budgets of the SSDs in dead to the
+// survivors (ddak.DegradeBins). Unless the policy is hash, which re-solves
+// nothing, the bins left must still hold every item, as the degraded DDAK
+// re-solve requires: each place a death is carried checks it, so a
+// horizon fails on a fleet the re-solve could not place, as a single
+// epoch does.
+func degradeBins(bins []ddak.Bin, dead map[int]bool, policy Policy, items []ddak.Item) ([]ddak.Bin, error) {
+	deadNames := make(map[string]bool, len(dead))
+	for j := range dead {
+		deadNames[fmt.Sprintf("ssd%d", j)] = true
+	}
+	out, err := ddak.DegradeBins(bins, deadNames)
+	if err != nil {
+		return nil, err
+	}
+	if policy != PolicyHash {
+		need := 0.0
+		for _, it := range items {
+			need += it.Bytes
+		}
+		if err := ddak.CheckCapacity(need, out); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // newReplannerFromItems seeds an adaptive replanner with the epoch's item

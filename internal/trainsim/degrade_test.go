@@ -3,12 +3,14 @@ package trainsim
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"moment/internal/faults"
 	"moment/internal/obs"
 	"moment/internal/topology"
+	"moment/internal/units"
 )
 
 // fourSSDCfg is the acceptance-criteria machine: MachineA trimmed to four
@@ -74,6 +76,77 @@ func TestKillOneOfFourSSDsMidEpochCompletes(t *testing.T) {
 		if !strings.Contains(buf.String(), metric) {
 			t.Errorf("metric %s missing from snapshot", metric)
 		}
+	}
+}
+
+// TestKillBillPinned pins the single-epoch fault bill bit for bit: the
+// degraded DDAK re-solves a kill forces and the bytes they migrate, for one
+// and for two kills, and no re-solve under the hash policy.
+func TestKillBillPinned(t *testing.T) {
+	cfg := fourSSDCfg(t)
+	io := simulate(t, cfg).IOTime.Sec()
+	one := []faults.Event{faults.Kill(2, io/2)}
+	two := []faults.Event{faults.Kill(2, io/2), faults.Kill(0, io*0.7)}
+	for _, c := range []struct {
+		name    string
+		policy  Policy
+		events  []faults.Event
+		dead    []int
+		replans int
+		moved   float64
+	}{
+		{"one kill", PolicyDDAK, one, []int{2}, 1, 333920227328},
+		{"two kills", PolicyDDAK, two, []int{2, 0}, 2, 627250323456},
+		{"two kills, hash", PolicyHash, two, []int{2, 0}, 0, 0},
+	} {
+		c2 := cfg
+		c2.Policy = c.policy
+		c2.Faults = &faults.Schedule{Seed: 1, Events: c.events}
+		rep := simulate(t, c2).Faults
+		if rep == nil {
+			t.Fatalf("%s: no fault report", c.name)
+		}
+		if !reflect.DeepEqual(rep.DeadSSDs, c.dead) || rep.Replans != c.replans || rep.MovedBytes != c.moved {
+			t.Errorf("%s: dead %v, %d replans, %v moved bytes; want %v, %d, %v",
+				c.name, rep.DeadSSDs, rep.Replans, rep.MovedBytes, c.dead, c.replans, c.moved)
+		}
+	}
+}
+
+// TestKillPastCapacityFails: with SSDs that hold the items four at a time
+// but not three, a kill fails a single epoch and a horizon alike, whether
+// the SSD dies during an epoch's I/O or, for the horizon, between two
+// epochs. The hash policy re-solves nothing and runs on.
+func TestKillPastCapacityFails(t *testing.T) {
+	cfg := fourSSDCfg(t)
+	m := *cfg.Machine
+	m.SSDCapacity = units.GB(120) // 4 × 120 GiB + DRAM hold PA's 417 GiB; 3 × 120 do not
+	cfg.Machine = &m
+	healthy := simulate(t, cfg)
+	io, dur := healthy.IOTime.Sec(), healthy.EpochTime.Sec()
+	if !(io < dur) {
+		t.Fatalf("I/O %v s fills the whole %v s epoch: no time between epochs to kill in", io, dur)
+	}
+	run := func(policy Policy, at float64) (single, horizon error) {
+		c := cfg
+		c.Policy = policy
+		c.Faults = &faults.Schedule{Seed: 1, Events: []faults.Event{faults.Kill(2, at)}}
+		_, single = SimulateEpoch(c)
+		_, horizon = SimulateEpochs(c, SweepOptions{Epochs: 3})
+		return single, horizon
+	}
+	short := func(err error) bool { return err != nil && strings.Contains(err.Error(), "total capacity") }
+	single, horizon := run(PolicyDDAK, io/2)
+	if !short(single) || !short(horizon) {
+		t.Errorf("kill during the I/O: single epoch %v, horizon %v; want both short of capacity", single, horizon)
+	}
+	single, horizon = run(PolicyDDAK, (io+dur)/2)
+	if single != nil || !short(horizon) {
+		t.Errorf("kill between epochs: single epoch %v, horizon %v; want the epoch to drain first and the horizon short of capacity", single, horizon)
+	}
+	single, horizon = run(PolicyHash, io/2)
+	if single != nil || horizon != nil {
+		t.Errorf("hash policy: single epoch %v, horizon %v; want both to run", single, horizon)
 	}
 }
 

@@ -1,7 +1,9 @@
 package trainsim
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 
 	"moment/internal/adaptive"
@@ -143,8 +145,9 @@ func simulateEpochs(cfg Config, opt SweepOptions, memo bool) (*SweepResult, erro
 	}
 	defer sp.End()
 
-	// One planning pass serves every epoch.
-	wp, err := planWorkload(cfg, o.In(sp))
+	// One planning pass serves every epoch; its stats come from the memo
+	// when the last horizon planned the same workload.
+	wp, err := planWorkload(cfg, o.In(sp), true)
 	if err != nil {
 		return nil, err
 	}
@@ -164,16 +167,12 @@ func simulateEpochs(cfg Config, opt SweepOptions, memo bool) (*SweepResult, erro
 	if err != nil {
 		return nil, err
 	}
-	var (
-		inj       *faults.Injector
-		linkNames []string // fabric link order, for the memo key
-	)
+	var inj *faults.Injector
 	if !cfg.Faults.Empty() {
 		if inj, err = faults.NewInjector(cfg.Faults); err != nil {
 			return nil, err
 		}
-		linkNames = fab.linkNames()
-		if err := inj.CheckTargets(m.NumSSDs, nGPU, linkNames); err != nil {
+		if err := inj.CheckTargets(m.NumSSDs, nGPU, fab.linkNames()); err != nil {
 			return nil, err
 		}
 	}
@@ -194,13 +193,13 @@ func simulateEpochs(cfg Config, opt SweepOptions, memo bool) (*SweepResult, erro
 	// Only boundary-free epochs generalize: a duration that straddled a
 	// factor change depends on when in the epoch the change landed.
 	memoTab := map[string]float64{}
-	var key []byte
 
 	// served is the per-bin traffic of the layout in force under the live
 	// hotness; base is its healthy flow list and specs that list re-routed
 	// around the dead SSDs over the degraded bins. A nil list is rebuilt
 	// before the next fabric run.
 	served, base, specs := es.served, es.specs, es.specs
+	key := newEpochKey(inj, fab, served)
 	bins := es.bins
 	dead := map[int]bool{}
 	t := 0.0
@@ -215,6 +214,7 @@ func simulateEpochs(cfg Config, opt SweepOptions, memo bool) (*SweepResult, erro
 			}
 			if changed {
 				served = dl.served()
+				key.setServed(served)
 				base, specs = nil, nil
 			}
 		}
@@ -234,11 +234,7 @@ func simulateEpochs(cfg Config, opt SweepOptions, memo bool) (*SweepResult, erro
 				}
 			}
 			if died {
-				deadNames := map[string]bool{}
-				for j := range dead {
-					deadNames[fmt.Sprintf("ssd%d", j)] = true
-				}
-				if bins, err = ddak.DegradeBins(es.bins, deadNames); err != nil {
+				if bins, err = degradeBins(es.bins, dead, cfg.Policy, es.placeItems); err != nil {
 					return nil, fmt.Errorf("trainsim: horizon cannot degrade past epoch %d: %w", e, err)
 				}
 				specs = nil
@@ -246,9 +242,10 @@ func simulateEpochs(cfg Config, opt SweepOptions, memo bool) (*SweepResult, erro
 		}
 
 		ep, hit := 0.0, false
+		var k []byte
 		if memo {
-			key = memoKey(key[:0], inj, linkNames, nGPU, m.NumSSDs, dead, served, tIO)
-			ep, hit = memoTab[string(key)]
+			k = key.at(tIO, dead)
+			ep, hit = memoTab[string(k)]
 			hit = hit && quietFor(inj, tIO, ep)
 		}
 		if hit {
@@ -267,7 +264,7 @@ func simulateEpochs(cfg Config, opt SweepOptions, memo bool) (*SweepResult, erro
 			}
 			res.Resims++
 			if memo && quietFor(inj, tIO, ep) {
-				memoTab[string(key)] = ep
+				memoTab[string(k)] = ep
 			}
 		}
 		dur := ep + stall
@@ -324,9 +321,8 @@ func priceEpoch(es *epochSetup, fab *Fabric, specs []flowSpec, inj *faults.Injec
 		inj:        inj,
 		pol:        pol,
 		bins:       es.bins,
-		ssdBin0:    es.ssdBin0,
 		items:      es.placeItems,
-		fetchEpoch: es.pl.fetchEpoch,
+		ssdBin0:    es.ssdBin0,
 		ssdsPerGPU: es.pl.ssdsPerGPU,
 		t0:         tIO,
 		dead:       dead,
@@ -338,22 +334,62 @@ func priceEpoch(es *epochSetup, fab *Fabric, specs []flowSpec, inj *faults.Injec
 	return es.epochOf(end-tIO, comp), nil
 }
 
-// memoKey appends an epoch's memo key to b: the fault state when its I/O
-// starts at tIO — every link factor in fabric order, every GPU factor, the
-// dead-device set — and its served bytes per bin to 6 significant digits.
-// Two quiet epochs with equal keys are the same simulation. It allocates
-// nothing once b has grown to the key's length.
-func memoKey(b []byte, inj *faults.Injector, linkNames []string, nGPU, nSSD int, dead map[int]bool, served []float64, tIO float64) []byte {
+// epochKey writes the memo key of an epoch: the fault state when its I/O
+// starts, which is every link factor in fabric order, every GPU factor and
+// the dead-device set, then the served bytes per bin to 6 significant
+// digits. Two quiet epochs with equal keys are the same simulation.
+//
+// Factors go in as raw float64 bits, equal exactly where the factors are
+// (for any non-NaN factor, ±0 kept apart). Each link is resolved against
+// the schedule once per horizon (faults.Injector.Link) and read through
+// LinkFactorAt, so no per-epoch query goes through a link name; a link no
+// event can move off 1 is left out. The served bytes' text changes only
+// with the layout, so setServed rebuilds it then.
+type epochKey struct {
+	inj        *faults.Injector
+	links      []faults.LinkRef // the links a fault can move, in fabric order
+	nGPU, nSSD int
+	served     []byte
+	buf        []byte // the last key at returned
+}
+
+// newEpochKey resolves fab's links against inj once per horizon and takes
+// served as the layout's traffic.
+func newEpochKey(inj *faults.Injector, fab *Fabric, served []float64) *epochKey {
+	k := &epochKey{inj: inj, nGPU: fab.M.NumGPUs, nSSD: fab.M.NumSSDs}
 	if inj != nil {
-		for _, name := range linkNames {
-			b = strconv.AppendFloat(b, inj.LinkFactor(name, tIO), 'g', -1, 64)
-			b = append(b, ';')
+		for _, name := range fab.linkNames() {
+			if ref, ok := inj.Link(name); ok {
+				k.links = append(k.links, ref)
+			}
 		}
-		for g := 0; g < nGPU; g++ {
-			b = strconv.AppendFloat(b, inj.GPUFactor(g, tIO), 'g', -1, 64)
-			b = append(b, ';')
+	}
+	k.setServed(served)
+	return k
+}
+
+// setServed makes served the per-bin traffic of the following keys.
+func (k *epochKey) setServed(served []float64) {
+	k.served = k.served[:0]
+	for _, v := range served {
+		k.served = append(k.served, ';')
+		k.served = strconv.AppendFloat(k.served, v, 'g', 6, 64)
+	}
+}
+
+// at returns the key of an epoch whose I/O starts at tIO with the SSDs in
+// dead fail-stopped. The slice is reused by the next call; it allocates
+// nothing once it has grown to the key's length.
+func (k *epochKey) at(tIO float64, dead map[int]bool) []byte {
+	b := k.buf[:0]
+	if inj := k.inj; inj != nil {
+		for _, l := range k.links {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(inj.LinkFactorAt(l, tIO)))
 		}
-		for j := 0; j < nSSD; j++ {
+		for g := 0; g < k.nGPU; g++ {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(inj.GPUFactor(g, tIO)))
+		}
+		for j := 0; j < k.nSSD; j++ {
 			if dead[j] {
 				b = append(b, 'x')
 			} else {
@@ -361,11 +397,8 @@ func memoKey(b []byte, inj *faults.Injector, linkNames []string, nGPU, nSSD int,
 			}
 		}
 	}
-	for _, v := range served {
-		b = append(b, ';')
-		b = strconv.AppendFloat(b, v, 'g', 6, 64)
-	}
-	return b
+	k.buf = append(b, k.served...)
+	return k.buf
 }
 
 // respecDead rebuilds the healthy flow list for a fleet where some SSDs

@@ -132,7 +132,7 @@ type Result struct {
 	HitGPU       float64 // fraction of fetches served by GPU caches
 	HitCPU       float64
 	Throughput   float64 // training vertices per second
-	Stats        *Stats
+	Stats        *Stats  // read-only: see Stats
 	BinAssign    *ddak.ItemAssignment
 	PreprocessOK bool
 	// Faults reports the injected-fault timeline and the degradation it
@@ -178,13 +178,15 @@ type WorkloadPlan struct {
 // configuration that cannot run (host memory, SSD capacity) still plans:
 // Demand reports it as an error and SimulateEpoch as an OOM result.
 func PlanWorkload(cfg Config) (*WorkloadPlan, error) {
-	return planWorkload(cfg, obs.Active(cfg.Observer))
+	return planWorkload(cfg, obs.Active(cfg.Observer), false)
 }
 
-// planWorkload builds the plan inside a "plan" span opened on o.
-func planWorkload(cfg Config, o *obs.Observer) (*WorkloadPlan, error) {
+// planWorkload builds the plan inside a "plan" span opened on o. With
+// memoStats the workload stats come through statsMemo (planStats), which
+// only the long-horizon loop asks for (see statsMemo).
+func planWorkload(cfg Config, o *obs.Observer, memoStats bool) (*WorkloadPlan, error) {
 	sp := o.Begin("plan")
-	pl, oom, err := buildPlan(cfg)
+	pl, oom, err := buildPlan(cfg, memoStats)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -194,7 +196,8 @@ func planWorkload(cfg Config, o *obs.Observer) (*WorkloadPlan, error) {
 
 // Demand returns the flow-network demand SimulateEpoch plans with, so that
 // placement search can score candidates against the exact workload the
-// runtime will execute, and the workload stats behind it.
+// runtime will execute, and the workload stats behind it (read-only, see
+// Stats).
 func (wp *WorkloadPlan) Demand() (*flownet.Demand, *Stats, error) {
 	if wp.oom != nil {
 		return nil, nil, fmt.Errorf("trainsim: %s", wp.oom.OOM)
@@ -214,8 +217,9 @@ func PlanDemand(cfg Config) (*flownet.Demand, *Stats, error) {
 // buildPlan normalizes the config, checks memory feasibility, derives the
 // workload stats and cache organization, and constructs the flow demand.
 // A non-nil second return is an OOM pseudo-result. The plan's config
-// carries no placement: the simulation stage supplies one.
-func buildPlan(cfg Config) (*plan, *Result, error) {
+// carries no placement: the simulation stage supplies one. memoStats
+// derives the stats through planStats rather than ComputeStats.
+func buildPlan(cfg Config, memoStats bool) (*plan, *Result, error) {
 	m := cfg.Machine
 	if m == nil {
 		return nil, nil, fmt.Errorf("trainsim: nil machine")
@@ -244,7 +248,11 @@ func buildPlan(cfg Config) (*plan, *Result, error) {
 		cfg.Cache = CachePartitioned
 	}
 	cfg.Workload = w
-	stats, err := ComputeStats(w, cfg.VirtualVertices)
+	derive := ComputeStats
+	if memoStats {
+		derive = planStats
+	}
+	stats, err := derive(w, cfg.VirtualVertices)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -611,7 +619,7 @@ func SimulateEpoch(cfg Config) (*Result, error) {
 	o := obs.Active(cfg.Observer)
 	epochSp := beginEpoch(o, cfg, cfg.Placement)
 	defer epochSp.End()
-	wp, err := planWorkload(cfg, o.In(epochSp))
+	wp, err := planWorkload(cfg, o.In(epochSp), false)
 	if err != nil {
 		return nil, err
 	}
@@ -723,11 +731,13 @@ func (wp *WorkloadPlan) simulate(p *topology.Placement, o *obs.Observer, epochSp
 			inj:        inj,
 			pol:        cfg.Retry.Defaults(),
 			bins:       bins,
-			ssdBin0:    ssdBin0,
 			items:      es.placeItems,
-			fetchEpoch: fetchEpoch,
+			ssdBin0:    ssdBin0,
 			ssdsPerGPU: ssdsPerGPU,
 		})
+		if err == nil {
+			err = billReplans(rep, es)
+		}
 		degSp.End()
 		if err != nil {
 			return nil, err

@@ -11,6 +11,8 @@ package trainsim
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"moment/internal/gnn"
 	"moment/internal/graph"
@@ -57,7 +59,10 @@ func (w Workload) Defaults() Workload {
 	return w
 }
 
-// Stats is the analytically derived per-epoch access profile.
+// Stats is the analytically derived per-epoch access profile. It is
+// read-only once derived: the long-horizon loop shares one between its runs
+// of a workload (see statsMemo), and no caller writes to a Stats or to its
+// slices.
 type Stats struct {
 	BatchesPerEpoch int     // total mini-batches per epoch
 	UniquePerBatch  float64 // expected distinct vertices fetched per batch
@@ -71,6 +76,10 @@ type Stats struct {
 	VirtualHot   []float64
 	VirtualBytes []float64
 }
+
+// defaultVirtual is the rank-bucket count ComputeStats uses for nVirtual
+// <= 0.
+const defaultVirtual = 50_000
 
 // hotDetail is the number of head ranks modeled individually before
 // bucketing; the saturation zone of 1-(1-p)^D lives here.
@@ -91,7 +100,7 @@ func ComputeStats(w Workload, nVirtual int) (*Stats, error) {
 		return nil, fmt.Errorf("trainsim: no fanouts")
 	}
 	if nVirtual <= 0 {
-		nVirtual = 50_000
+		nVirtual = defaultVirtual
 	}
 	d := w.Dataset
 	if d.Vertices <= 0 || d.Skew <= 0 {
@@ -167,6 +176,80 @@ func ComputeStats(w Workload, nVirtual int) (*Stats, error) {
 		hot[i] /= mass
 		counts[i] *= rowBytes
 	}
+	return stats, nil
+}
+
+// statsMemo holds the last workload stats planStats derived. The
+// long-horizon loop (SimulateEpochs, SimulateDriftEpochs) is its only
+// user: it plans its configuration on every call, so a caller that runs one
+// configuration over and over derives the stats once. It holds one entry
+// because an entry is about 1 MB. The planning entry points (PlanWorkload,
+// SimulateEpoch) derive their stats uncached: their callers plan distinct
+// problems (a placement sweep, a daemon whose plan cache already serves
+// repeats), so an entry would only keep 1 MB alive that no call reads.
+var statsMemo struct {
+	mu    sync.Mutex
+	key   statsKey
+	stats *Stats // nil until a derivation succeeds
+}
+
+// statsKey is every input ComputeStats reads once Defaults has run, with
+// the bucket count defaulted too. NumGPUs is left out: ComputeStats reads
+// it only to reject a count under 1, which planStats checks itself.
+type statsKey struct {
+	dataset      graph.Dataset
+	batchSize    int
+	dedup        float64
+	epochBatches int
+	nVirtual     int
+	fanouts      []int // the entry's own copy: a caller may reuse its slice
+}
+
+// matches reports whether k and o are the same inputs. Floats compare
+// with ==: a NaN input never hits, and no input ComputeStats reads tells
+// -0 from +0.
+func (k *statsKey) matches(o *statsKey) bool {
+	return k.dataset == o.dataset && k.batchSize == o.batchSize && k.dedup == o.dedup &&
+		k.epochBatches == o.epochBatches && k.nVirtual == o.nVirtual && slices.Equal(k.fanouts, o.fanouts)
+}
+
+// planStats is ComputeStats(w, nVirtual) served from statsMemo when the
+// last successful derivation had the same inputs. A hit returns the very
+// Stats a miss would compute; misses compute outside the lock, and errors
+// are never stored.
+func planStats(w Workload, nVirtual int) (*Stats, error) {
+	w = w.Defaults()
+	if nVirtual <= 0 {
+		nVirtual = defaultVirtual
+	}
+	key := statsKey{
+		dataset:      w.Dataset,
+		batchSize:    w.BatchSize,
+		dedup:        w.DedupFactor,
+		epochBatches: w.EpochBatches,
+		nVirtual:     nVirtual,
+		fanouts:      w.Fanouts,
+	}
+	if w.NumGPUs > 0 {
+		statsMemo.mu.Lock()
+		stats := statsMemo.stats
+		hit := stats != nil && statsMemo.key.matches(&key)
+		statsMemo.mu.Unlock()
+		if hit {
+			return stats, nil
+		}
+	}
+	// Derive from the copy the entry keeps, so the key names exactly the
+	// fan-outs the stats came from.
+	key.fanouts = slices.Clone(w.Fanouts)
+	w.Fanouts = key.fanouts
+	stats, err := ComputeStats(w, nVirtual)
+	if err != nil {
+		return nil, err
+	}
+	statsMemo.mu.Lock()
+	statsMemo.key, statsMemo.stats = key, stats
+	statsMemo.mu.Unlock()
 	return stats, nil
 }
 

@@ -61,10 +61,19 @@ func (b Bytes) String() string {
 
 // ParseBytes parses strings like "384GB", "3.84TB", "56GiB", "512", "14 GB".
 // Decimal and binary suffixes are both treated as binary multiples, matching
-// the paper's loose usage of GB/GiB.
+// the paper's loose usage of GB/GiB. Fractions of a byte are truncated
+// toward zero; a size outside the int64 range of bytes is an error.
 func ParseBytes(s string) (Bytes, error) {
 	v, err := parseBytes(s)
-	return Bytes(v), err
+	if err != nil {
+		return 0, err
+	}
+	// The conversion below is only defined inside the int64 range: beyond
+	// it Go leaves the result to the platform, which wraps 2^63 B to -2^63.
+	if !(v >= math.MinInt64 && v < -math.MinInt64) {
+		return 0, fmt.Errorf("units: byte size %q is outside the int64 range", s)
+	}
+	return Bytes(v), nil
 }
 
 // parseBytes is ParseBytes before the size is truncated to whole bytes.

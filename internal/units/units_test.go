@@ -2,6 +2,7 @@ package units
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -213,4 +214,79 @@ func TestParseBandwidth(t *testing.T) {
 			t.Errorf("ParseBandwidth(%q) = %v, want %v", c.in, float64(got), float64(c.want))
 		}
 	}
+}
+
+// TestParseBytesRange: sizes inside the int64 range of bytes parse exactly
+// (fractions truncated toward zero); sizes outside it are errors, not a
+// wrapped count.
+func TestParseBytesRange(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want int64
+	}{
+		{"-9223372036854775808", math.MinInt64},
+		{"9223372036854774784", 9223372036854774784}, // the largest float64 below 2^63
+		{"8388607.999999999TiB", 9223372036854774784},
+		{"-8589934592GiB", math.MinInt64},
+		{"-0.75", 0},
+		{"1.5K", 1536},
+	} {
+		if got, err := ParseBytes(c.in); err != nil || got.Int64() != c.want {
+			t.Errorf("ParseBytes(%q) = %d, %v; want %d", c.in, got.Int64(), err, c.want)
+		}
+	}
+	for _, in := range []string{
+		"9223372036854775807", // rounds to 2^63 as a float64
+		"9223372036854775808",
+		"99999999999999999999T",
+		"8589934592GiB",
+		"-9223372036854777856", // the float64 just below -2^63
+		"-99999999999999999999T",
+	} {
+		if got, err := ParseBytes(in); err == nil {
+			t.Errorf("ParseBytes(%q) = %d B, want an error", in, got.Int64())
+		}
+	}
+}
+
+// FuzzParseBytes: ParseBytes never panics, and a size it accepts is the
+// number it parsed truncated toward zero, with its sign and magnitude.
+func FuzzParseBytes(f *testing.F) {
+	for _, s := range []string{"384GB", "3.84TB", "56GiB", "512", "14 GB", "-40GiB", "0.5K", "", "1e3", "..", "+-1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseBytes(s)
+		if err != nil {
+			return
+		}
+		v, err := parseBytes(s)
+		if err != nil {
+			t.Fatalf("ParseBytes(%q) accepted what parseBytes rejects: %v", s, err)
+		}
+		if float64(got) != math.Trunc(v) {
+			t.Fatalf("ParseBytes(%q) = %d B, but the size is %v B", s, got.Int64(), v)
+		}
+	})
+}
+
+// FuzzParseBandwidth: ParseBandwidth never panics, and a finite rate of at
+// least 1 B/s written as the shortest decimal of its GiB/s (the machine
+// spec's format) parses back to the same rate.
+func FuzzParseBandwidth(f *testing.F) {
+	for _, s := range []string{"20GiB/s", "6GB/s", "100Gbps", "36GiB", "800Mbps", "7 GiB/s", "1e-320Gbps", "NaNGbps", "1e308Gbps", "-5Mbps", "0.5", "/s"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		bw, err := ParseBandwidth(s)
+		r := float64(bw)
+		if err != nil || math.IsNaN(r) || math.IsInf(r, 0) || math.Abs(r) < 1 {
+			return
+		}
+		text := strconv.FormatFloat(r/float64(GiB), 'f', -1, 64) + "GiB/s"
+		back, err := ParseBandwidth(text)
+		if err != nil || back != bw {
+			t.Fatalf("ParseBandwidth(%q) = %v B/s, written %q, read back %v B/s, %v", s, r, text, float64(back), err)
+		}
+	})
 }
